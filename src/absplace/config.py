@@ -189,11 +189,9 @@ def _parse_solver(raw: dict) -> PlacementConfig:
         eps_abs=sec.take("eps_abs", float, 1e-6),
         eps_rel=sec.take("eps_rel", float, 1e-4),
         max_iter=sec.take("max_iter", int, 10000),
-        bisect_max_iter=sec.take("bisect_max_iter", int, 100),
         reweight_rounds=sec.take("reweight_rounds", int, 4),
         reweight_eps=sec.take("reweight_eps", float, 1e-3),
         select_threshold=sec.take("select_threshold", float, 1e-3),
-        extract_from=sec.take("extract_from", str, "R"),
     )
     sec.finish()
     try:

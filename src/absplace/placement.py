@@ -26,14 +26,12 @@ analytic bracket:
       z = max(0, min(c, r + u - lam)). Rows with total capacity below
       r_min are infeasible.
 
-The numpy path computes both roots exactly from the sorted breakpoints in
-O(n log n) per column or row: the X-step takes the last active prefix of
-the descending column and its cumulative sum, as in simplex projection
-(Duchi et al. 2008); the Z-step scans the cumulative slope over the 2G
-sorted breakpoints {b - c, b} of the row and interpolates inside the
-segment where the function crosses r_min (Condat 2016). When numba is
-installed, compiled kernels bisect inside the brackets instead; they are
-the only code that ``bisect_max_iter`` bounds.
+Both roots are computed exactly from the sorted breakpoints in O(n log n)
+per column or row: the X-step takes the last active prefix of the
+descending column and its cumulative sum, as in simplex projection (Duchi
+et al. 2008); the Z-step scans the cumulative slope over the 2G sorted
+breakpoints {b - c, b} of the row and interpolates inside the segment where
+the function crosses r_min (Condat 2016).
 
 The dual update is U <- U + R - Z. Convergence uses the standard scaled
 primal/dual residual rule. Solutions are extracted by thresholding column
@@ -49,13 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # compiled bisection kernels; the exact numpy path below is the fallback
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
 
 from .channel import CapacityMatrix
 from .errors import InfeasibleError
@@ -78,23 +69,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Solver knobs; scale-dependent tolerances are relative to the target rate."""
+    """Solver settings; scale-dependent tolerances are relative to the target rate.
+
+    ``max_iter`` bounds the ADMM iterations of each of the
+    ``reweight_rounds`` solves. Stations are selected from the column
+    sup-norms of the final rate matrix R.
+    """
 
     rho: float = 1.0
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iter: int = 10000
-    bisect_max_iter: int = 100
     reweight_rounds: int = 4
     reweight_eps: float = 1e-3
     select_threshold: float = 1e-3
-    extract_from: str = "R"
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.extract_from not in ("R", "Z"):
-            raise ValueError(f"extract_from must be 'R' or 'Z', got {self.extract_from!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.reweight_rounds < 1:
             raise ValueError("at least one solve round is required")
 
@@ -147,10 +141,8 @@ class PlacementResult:
         return len(self.selected)
 
 
-_WIDTH_RTOL = 1e-15  # compiled bisection stops once the bracket shrinks to this, relative
-
-
-def _x_step_numpy(A, w, rho):
+def _x_step(A, w, rho):
+    """All X-step columns of A = Z - U at once; returns (R, s)."""
     # Sorted descending, the k largest entries of a column are the active
     # set for s in [a_(k+1), a_(k)], where F(s) = csum_k - k s. The root
     # uses the last k whose candidate s_k = (csum_k - target) / k still lies
@@ -172,7 +164,8 @@ def _x_step_numpy(A, w, rho):
     return R, s
 
 
-def _z_step_numpy(B, C, r_min):
+def _z_step(B, C, r_min):
+    """All Z-step rows of B = R + U at once; assumes every row satisfies sum(C) >= r_min."""
     # G(lam) is sum(C) left of every breakpoint and 0 right of them; between
     # consecutive sorted breakpoints its slope is minus the number n_open of
     # entries with b - c < lam < b (each b - c opens such an entry, each b
@@ -197,117 +190,13 @@ def _z_step_numpy(B, C, r_min):
     return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _x_step_kernel(A, w, rho, max_iter):  # pragma: no cover - compiled
-        m, g = A.shape
-        R = np.empty_like(A)
-        s_out = np.empty(g)
-        for j in range(g):
-            amin = A[0, j]
-            amax = A[0, j]
-            for i in range(1, m):
-                v = A[i, j]
-                if v < amin:
-                    amin = v
-                if v > amax:
-                    amax = v
-            if w[j] == 0.0:
-                for i in range(m):
-                    R[i, j] = A[i, j]
-                s_out[j] = amax
-                continue
-            target = w[j] / rho
-            lo = amin - target / m
-            hi = amax - target / m
-            for _ in range(max_iter):
-                if hi - lo <= _WIDTH_RTOL * max(1.0, abs(lo), abs(hi)):
-                    break
-                mid = 0.5 * (lo + hi)
-                f = 0.0
-                for i in range(m):
-                    d = A[i, j] - mid
-                    if d > 0.0:
-                        f += d
-                if f > target:
-                    lo = mid
-                else:
-                    hi = mid
-            s = 0.5 * (lo + hi)
-            s_out[j] = s
-            for i in range(m):
-                R[i, j] = A[i, j] if A[i, j] < s else s
-        return R, s_out
-
-    @njit(cache=True)
-    def _z_step_kernel(B, C, r_min, max_iter):  # pragma: no cover - compiled
-        m, g = B.shape
-        Z = np.empty_like(B)
-        thresh = r_min / g
-        for i in range(m):
-            lo = B[i, 0] - C[i, 0]
-            top = -np.inf
-            for j in range(g):
-                v = B[i, j] - C[i, j]
-                if v < lo:
-                    lo = v
-                if C[i, j] > thresh and B[i, j] > top:
-                    top = B[i, j]
-            hi = top - thresh if top > -np.inf else lo
-            if hi < lo:
-                hi = lo
-            for _ in range(max_iter):
-                if hi - lo <= _WIDTH_RTOL * max(1.0, abs(lo), abs(hi)):
-                    break
-                mid = 0.5 * (lo + hi)
-                gv = 0.0
-                for j in range(g):
-                    v = B[i, j] - mid
-                    if v > C[i, j]:
-                        v = C[i, j]
-                    if v > 0.0:
-                        gv += v
-                if gv > r_min:
-                    lo = mid
-                else:
-                    hi = mid
-            lam = 0.5 * (lo + hi)
-            for j in range(g):
-                v = B[i, j] - lam
-                if v > C[i, j]:
-                    v = C[i, j]
-                if v < 0.0:
-                    v = 0.0
-                Z[i, j] = v
-        return Z
-
-
-def _x_step(Z, U, w, rho, max_iter):
-    """All X-step columns at once; returns (R, s)."""
-    A = Z - U
-    if _HAVE_NUMBA:
-        return _x_step_kernel(np.ascontiguousarray(A), w, rho, max_iter)
-    return _x_step_numpy(A, w, rho)
-
-
-def _z_step(R, U, C, r_min, max_iter):
-    """All Z-step rows at once; assumes every row satisfies sum(C) >= r_min."""
-    B = R + U
-    if _HAVE_NUMBA:
-        return _z_step_kernel(np.ascontiguousarray(B), np.ascontiguousarray(C), r_min, max_iter)
-    return _z_step_numpy(B, C, r_min)
-
-
-def x_step_column(z_col, u_col, w_g: float, rho: float, bisect_max_iter: int = 100):
+def x_step_column(z_col, u_col, w_g: float, rho: float):
     """Single-column X-step; returns (rate column, slack).
 
     The slack solves sum(max(z - u - s, 0)) = w_g / rho; the rate column
-    is min(z - u, s). The numpy path finds the root exactly from the sorted
-    column; the compiled kernel bisects on the analytic bracket for at most
-    ``bisect_max_iter`` steps (the numpy path ignores it). For w_g = 0 the
-    column is returned unchanged (r = z - u) and the slack reported as its
-    maximum entry.
+    is min(z - u, s). The root is found exactly from the sorted column.
+    For w_g = 0 the column is returned unchanged (r = z - u) and the slack
+    reported as its maximum entry.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -315,18 +204,16 @@ def x_step_column(z_col, u_col, w_g: float, rho: float, bisect_max_iter: int = 1
         raise ValueError(f"weight must be nonnegative, got {w_g}")
     z = np.asarray(z_col, dtype=float).reshape(-1, 1)
     u = np.asarray(u_col, dtype=float).reshape(-1, 1)
-    R, s = _x_step(z, u, np.array([float(w_g)]), rho, bisect_max_iter)
+    R, s = _x_step(z - u, np.array([float(w_g)]), rho)
     return R[:, 0], float(s[0])
 
 
-def z_step_row(r_row, u_row, c_row, r_min: float, bisect_max_iter: int = 100):
+def z_step_row(r_row, u_row, c_row, r_min: float):
     """Single-row Z-step: project r + u onto {z : sum(z) = r_min, 0 <= z <= c}.
 
-    Independent of the step size. The numpy path finds the shift lam of
-    z = clip(r + u - lam, 0, c) exactly by a slope scan over the sorted
-    breakpoints; the compiled kernel bisects for at most ``bisect_max_iter``
-    steps (the numpy path ignores it). Raises InfeasibleError when the row's
-    total capacity cannot reach r_min.
+    Independent of the step size. The shift lam of z = clip(r + u - lam, 0, c)
+    is found exactly by a slope scan over the sorted breakpoints. Raises
+    InfeasibleError when the row's total capacity cannot reach r_min.
     """
     r = np.asarray(r_row, dtype=float).reshape(1, -1)
     u = np.asarray(u_row, dtype=float).reshape(1, -1)
@@ -335,7 +222,7 @@ def z_step_row(r_row, u_row, c_row, r_min: float, bisect_max_iter: int = 100):
         raise InfeasibleError(
             f"row capacity {c.sum():.6g} below the target rate {r_min:.6g}", users=(0,)
         )
-    return _z_step(r, u, c, float(r_min), bisect_max_iter)[0]
+    return _z_step(r + u, c, float(r_min))[0]
 
 
 def _capacity_values(C) -> np.ndarray:
@@ -360,7 +247,6 @@ def admm_solve(
     max_iter: int = 10000,
     eps_abs: float = 1e-6,
     eps_rel: float = 1e-4,
-    bisect_max_iter: int = 100,
     z0=None,
     u0=None,
 ) -> AdmmState:
@@ -370,7 +256,8 @@ def admm_solve(
     then works across rate scales); eps_abs is interpreted relative to the
     target rate. Stops when both the primal residual ||R - Z||_F and the
     dual residual rho * ||Z_k+1 - Z_k||_F fall below
-    eps_abs * sqrt(M G) + eps_rel * max(||R||_F, ||Z||_F).
+    eps_abs * sqrt(M G) + eps_rel * max(||R||_F, ||Z||_F), or after
+    ``max_iter`` iterations, which must be at least 1.
 
     ``z0`` / ``u0`` warm-start the iteration (original rate units);
     otherwise Z starts at min(C, r_min / G) and U at zero.
@@ -381,6 +268,8 @@ def admm_solve(
     reductions are order-sensitive at machine precision, and the
     extraction threshold could otherwise flip on reordered input).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     values = _capacity_values(C)
     m, g = values.shape
     _check_rows_coverable(values, r_min)
@@ -403,8 +292,8 @@ def admm_solve(
     iterations = 0
     for k in range(1, max_iter + 1):
         iterations = k
-        R, _ = _x_step(Z, U, w, rho, bisect_max_iter)
-        z_new = _z_step(R, U, cn, 1.0, bisect_max_iter)
+        R, _ = _x_step(Z - U, w, rho)
+        z_new = _z_step(R + U, cn, 1.0)
         U = U + R - z_new
         primal = float(np.linalg.norm(R - z_new))
         dual = rho * float(np.linalg.norm(z_new - Z))
@@ -490,10 +379,10 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
     """Reweighted ADMM placement: solve, extract, repair, prune.
 
     Runs ``reweight_rounds`` solves (uniform weights first, then reweighted),
-    each warm-started from the previous round. Candidates whose extracted
-    column sup-norm exceeds ``select_threshold * r_min`` are kept, then the
-    set is repaired/pruned against the actual capacities, so the returned
-    placement is always feasible with no redundant station.
+    each warm-started from the previous round. Candidates whose column
+    sup-norm in the final rate matrix R exceeds ``select_threshold * r_min``
+    are kept, then the set is repaired/pruned against the actual capacities,
+    so the returned placement is always feasible with no redundant station.
     """
     values = _capacity_values(C)
     _check_rows_coverable(values, r_min)
@@ -514,7 +403,6 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
             max_iter=config.max_iter,
             eps_abs=config.eps_abs,
             eps_rel=config.eps_rel,
-            bisect_max_iter=config.bisect_max_iter,
             z0=z0,
             u0=u0,
         )
@@ -530,8 +418,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
         # slack costs commensurate with rho, which conditions the iteration.
         w /= w.max()
 
-    extracted = state.R if config.extract_from == "R" else state.Z
-    scores = np.abs(extracted).max(axis=0)
+    scores = np.abs(state.R).max(axis=0)
     initial = np.flatnonzero(scores > config.select_threshold * r_min)
     selected = greedy_cover_from_scores(values, r_min, scores, initial)
     rates = values[:, selected].sum(axis=1) if selected else np.zeros(values.shape[0])

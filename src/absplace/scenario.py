@@ -16,9 +16,7 @@ replayed across sweep values.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -293,37 +291,20 @@ def _run_repetition(spec: ExperimentSpec, scenario: UrbanScenario, value, rep: i
     return records
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ABSPLACE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the sweep; per-run records plus mean/stderr aggregation.
 
     Infeasible runs are recorded and counted but excluded from the means.
-    Reproducible bit-for-bit from (spec, seed) regardless of the worker
-    count: repetitions are independent and merged in a fixed order.
+    Repetitions run serially in a fixed order, and each draws its users
+    from its own seed, so the result is reproducible bit-for-bit from
+    (spec, seed).
     """
     records: list[RunRecord] = []
-    workers = _worker_count()
     for value in spec.values:
         scen, chan = _sweep_applied(spec, value)
         scenario = build_urban(scen, chan)
-        if workers == 1:
-            batches = [_run_repetition(spec, scenario, value, rep) for rep in range(spec.repetitions)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_repetition, spec, scenario, value, rep)
-                    for rep in range(spec.repetitions)
-                ]
-                batches = [f.result() for f in futures]
-        for batch in batches:
-            records.extend(batch)
+        for rep in range(spec.repetitions):
+            records.extend(_run_repetition(spec, scenario, value, rep))
 
     summary = []
     for value in spec.values:

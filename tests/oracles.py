@@ -6,12 +6,12 @@ traversal enumerates boundary crossings per axis and sorts them (no
 marching state), the breakpoint solvers find the piecewise-linear roots
 exactly by sorting, and the LP cross-check goes through scipy.
 
-Without numba the dense sampler counts its samples in runs: the voxel index
-of sample k is monotone in k along each axis, so a block of consecutive
-samples whose two end samples share a voxel is credited in one step, and
-only blocks straddling a voxel face are sampled one by one. It locates
-samples exactly as the per-sample rule does and never solves for a
-crossing parameter, so it stays independent of both traversals.
+The dense sampler counts its samples in runs: the voxel index of sample k
+is monotone in k along each axis, so a block of consecutive samples whose
+two end samples share a voxel is credited in one step, and only blocks
+straddling a voxel face are sampled one by one. It locates samples exactly
+as the per-sample rule does and never solves for a crossing parameter, so
+it stays independent of both traversals.
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
 
 
 def _voxel_index_arrays(local_over_spacing: np.ndarray, dims) -> tuple[np.ndarray, ...]:
@@ -39,21 +32,21 @@ def _voxel_index_arrays(local_over_spacing: np.ndarray, dims) -> tuple[np.ndarra
     return tuple(idx)
 
 
-_RUN_BLOCK = 1024  # samples per block in the run-counting fallback
+_RUN_BLOCK = 1024  # samples per block of the run-counting sampler
 
 
 def dense_sampling_integral(values, grid, a, b, n=1_000_000) -> float:
     """Rectangle-rule average of the piecewise-constant field along a->b.
 
     Sample k (0 <= k < n) sits at t = (k + 1/2) / n and takes the value of
-    the voxel containing it. Without numba the n samples are counted in
-    runs rather than visited one by one: each per-axis voxel index is a
-    monotone function of k (every floating-point step from k to the index
-    is monotone), so a block of samples whose first and last sample share a
-    voxel lies wholly in that voxel and is credited count * value. Only
-    blocks that straddle a voxel face are sampled point by point. The sum
-    covers the same n samples as a per-sample loop, and no crossing
-    parameter is ever computed.
+    the voxel containing it. The n samples are counted in runs rather than
+    visited one by one: each per-axis voxel index is a monotone function of
+    k (every floating-point step from k to the index is monotone), so a
+    block of samples whose first and last sample share a voxel lies wholly
+    in that voxel and is credited count * value. Only blocks that straddle
+    a voxel face are sampled point by point. The sum covers the same n
+    samples as a per-sample loop, and no crossing parameter is ever
+    computed.
     """
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
@@ -62,17 +55,6 @@ def dense_sampling_integral(values, grid, a, b, n=1_000_000) -> float:
         return 0.0
     origin = np.array([grid.origin.x, grid.origin.y, grid.origin.z])
     spacing = np.asarray(grid.spacing)
-    if HAVE_NUMBA:
-        acc = _dense_kernel(
-            np.ascontiguousarray(values),
-            origin[0], origin[1], origin[2],
-            spacing[0], spacing[1], spacing[2],
-            grid.dims[0], grid.dims[1], grid.dims[2],
-            av[0], av[1], av[2],
-            bv[0], bv[1], bv[2],
-            n,
-        )
-        return math.sqrt(d) * acc
 
     def voxels(k):
         t = (k + 0.5) / n
@@ -89,41 +71,6 @@ def dense_sampling_integral(values, grid, a, b, n=1_000_000) -> float:
     if mixed:
         total += float(values[voxels(np.concatenate(mixed))].sum())
     return math.sqrt(d) * total / n
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dense_kernel(
-        values, ox, oy, oz, sx, sy, sz, qx, qy, qz, ax, ay, az, bx, by, bz, n
-    ):  # pragma: no cover - compiled
-        # In-domain grid-local values satisfy v >= -0.5, so shifting by +1
-        # makes truncation act as floor; the +0.5 rounding offset is folded
-        # into the same constant. One multiply-add per axis per sample.
-        base_x, slope_x = (ax - ox) / sx + 1.5, (bx - ax) / sx
-        base_y, slope_y = (ay - oy) / sy + 1.5, (by - ay) / sy
-        base_z, slope_z = (az - oz) / sz + 1.5, (bz - az) / sz
-        inv_n = 1.0 / n
-        acc = 0.0
-        for k in range(n):
-            t = (k + 0.5) * inv_n
-            ix = int(base_x + t * slope_x) - 1
-            if ix < 0:
-                ix = 0
-            elif ix >= qx:
-                ix = qx - 1
-            iy = int(base_y + t * slope_y) - 1
-            if iy < 0:
-                iy = 0
-            elif iy >= qy:
-                iy = qy - 1
-            iz = int(base_z + t * slope_z) - 1
-            if iz < 0:
-                iz = 0
-            elif iz >= qz:
-                iz = qz - 1
-            acc += values[ix, iy, iz]
-        return acc * inv_n
 
 
 def merge_traversal_integral(values, grid, a, b) -> float:

@@ -171,10 +171,19 @@ class TestOracle:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, "channel:\n  bogus_key: 1.0\n")
-        res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
+        # the two solver keys are removed options: configs still setting them must fail
+        for section, key in (("channel", "bogus_key"), ("solver", "bisect_max_iter"),
+                             ("solver", "extract_from")):
+            cfg = write_config(tmp_path, f"{section}:\n  {key}: 1\n")
+            res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
+            assert res.exit_code == 1
+            assert key in res.output
+
+    def test_zero_max_iter_is_config_error(self):
+        res = run_cli(["place", *SMALL, "-O", "solver.max_iter=0"])
         assert res.exit_code == 1
-        assert "bogus_key" in res.output
+        assert "solver:" in res.output
+        assert "max_iter" in res.output
 
     def test_wavelength_frequency_exclusive(self, tmp_path):
         cfg = write_config(tmp_path, "channel:\n  wavelength_m: 0.125\n  frequency_hz: 2.4e9\n")

@@ -106,13 +106,13 @@ class TestZStep:
 
 
 class TestExactNumpySteps:
-    """Sort-and-scan half-steps of the numpy path on degenerate inputs."""
+    """Sort-and-scan half-steps on degenerate inputs."""
 
     @staticmethod
     def check_x_columns(A, w, rho):
-        from absplace.placement import _x_step_numpy
+        from absplace.placement import _x_step
 
-        R, s = _x_step_numpy(A, w, rho)
+        R, s = _x_step(A, w, rho)
         for g in range(A.shape[1]):
             a = A[:, g]
             expect = x_step_root_exact(a, w[g] / rho) if w[g] > 0 else a.max()
@@ -123,9 +123,9 @@ class TestExactNumpySteps:
 
     @staticmethod
     def check_z_rows(B, C, r_min):
-        from absplace.placement import _z_step_numpy
+        from absplace.placement import _z_step
 
-        Z = _z_step_numpy(B, C, r_min)
+        Z = _z_step(B, C, r_min)
         for m in range(B.shape[0]):
             lam = z_step_root_exact(B[m], C[m], r_min)
             expect = np.maximum(0.0, np.minimum(C[m], B[m] - lam))
@@ -175,10 +175,10 @@ class TestExactNumpySteps:
         C = np.array([[0.25, 0.5, 0.0, 0.25], [1.5, 0.5, 1.0, 1.0]])
         B = np.array([[3.0, -1.0, 0.2, 0.25], [0.0, 0.0, 0.0, 0.0]])
         assert np.all(C.sum(axis=1) == [1.0, 4.0])
-        from absplace.placement import _z_step_numpy
+        from absplace.placement import _z_step
 
-        np.testing.assert_array_equal(_z_step_numpy(B[:1], C[:1], 1.0), C[:1])
-        np.testing.assert_array_equal(_z_step_numpy(B[1:], C[1:], 4.0), C[1:])
+        np.testing.assert_array_equal(_z_step(B[:1], C[:1], 1.0), C[:1])
+        np.testing.assert_array_equal(_z_step(B[1:], C[1:], 4.0), C[1:])
         self.check_z_rows(B[:1], C[:1], 1.0)
         self.check_z_rows(B[1:], C[1:], 4.0)
 
@@ -327,12 +327,6 @@ class TestSolvePlacement:
             solve_placement(as_matrix(values), r_min=1.0)
         assert err.value.users == (0,)
 
-    def test_extract_from_z_variant(self):
-        values, r_min = random_feasible_instance(np.random.default_rng(33))
-        cfg = PlacementConfig(extract_from="Z")
-        result = solve_placement(as_matrix(values), r_min, cfg)
-        assert result.feasible
-
     def test_trace_csv(self, tmp_path):
         values, r_min = random_feasible_instance(np.random.default_rng(34))
         result = solve_placement(as_matrix(values), r_min)
@@ -347,7 +341,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PlacementConfig(rho=0.0)
     with pytest.raises(ValueError):
-        PlacementConfig(extract_from="Q")
+        PlacementConfig(max_iter=0)
+    values, r_min = random_feasible_instance(np.random.default_rng(33))
+    with pytest.raises(ValueError, match="max_iter"):
+        admm_solve(values, r_min, max_iter=0)
 
 
 def test_warm_start_resumes_at_optimum():
@@ -358,39 +355,3 @@ def test_warm_start_resumes_at_optimum():
     assert resumed.converged
     assert resumed.iterations <= max(3, first.iterations // 5)
     np.testing.assert_allclose(resumed.Z, first.Z, rtol=0, atol=1e-6 * r_min)
-
-
-def test_numpy_fallback_solves_end_to_end(monkeypatch):
-    import absplace.placement as pl
-
-    values, r_min = random_feasible_instance(np.random.default_rng(37))
-    with_kernels = solve_placement(as_matrix(values), r_min)
-    monkeypatch.setattr(pl, "_HAVE_NUMBA", False)
-    without = solve_placement(as_matrix(values), r_min)
-    assert without.selected == with_kernels.selected
-    assert without.feasible
-
-
-@pytest.mark.skipif(not __import__("absplace.placement", fromlist=["_HAVE_NUMBA"])._HAVE_NUMBA,
-                    reason="numba not installed")
-def test_compiled_kernels_match_numpy_path():
-    from absplace.placement import _x_step_kernel, _x_step_numpy, _z_step_kernel, _z_step_numpy
-
-    rng = np.random.default_rng(36)
-    for _ in range(50):
-        m, g = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-        a = np.ascontiguousarray(rng.normal(0, 2, (m, g)))
-        w = np.abs(rng.normal(0, 1, g))
-        w[rng.random(g) < 0.2] = 0.0
-        rho = float(rng.uniform(0.3, 3))
-        rn, sn = _x_step_numpy(a.copy(), w, rho)
-        rk, sk = _x_step_kernel(a, w, rho, 100)
-        np.testing.assert_allclose(rn, rk, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(sn, sk, rtol=0, atol=1e-12)
-
-        c = np.ascontiguousarray(np.abs(rng.normal(1, 1, (m, g))) + 0.1)
-        r_min = float(c.sum(axis=1).min() * rng.uniform(0.3, 0.99))
-        b = np.ascontiguousarray(rng.normal(0, 1, (m, g)))
-        zn = _z_step_numpy(b, c, r_min)
-        zk = _z_step_kernel(b, c, r_min, 100)
-        np.testing.assert_allclose(zn, zk, rtol=0, atol=1e-11)

@@ -250,18 +250,6 @@ class TestRunExperiment:
         assert summary_lines[0] == "sweep_value,solver,mean_N,stderr,n_feasible,n_infeasible"
         assert len(summary_lines) == 1 + len(result.summary)
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        from dataclasses import replace
-
-        spec = self.spec(repetitions=3, solvers=("admm",))
-        base = run_experiment(spec)
-        monkeypatch.setenv("ABSPLACE_THREADS", "3")
-        threaded = run_experiment(spec)
-        # wall-clock timing is the one legitimately nondeterministic field
-        strip = lambda recs: [replace(r, wall_ms=0.0) for r in recs]
-        assert strip(base.records) == strip(threaded.records)
-        assert base.summary == threaded.summary
-
     def test_oracle_improves_with_nested_flight_refinement(self):
         # tripling the x dimension of a cell-centered axis keeps the old
         # points, so a finer grid can only match or beat the oracle count

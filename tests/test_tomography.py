@@ -148,8 +148,7 @@ class TestDenseSamplingOracle:
         idx = oracles._voxel_index_arrays((pts - origin) / np.asarray(grid.spacing), grid.dims)
         return math.sqrt(float(np.linalg.norm(b - a))) * float(values[idx].sum()) / n
 
-    def test_run_counting_matches_per_sample_sum(self, monkeypatch):
-        monkeypatch.setattr(oracles, "HAVE_NUMBA", False)
+    def test_run_counting_matches_per_sample_sum(self):
         rng = np.random.default_rng(50)
         skewed = RegularGrid3(Point3(-1.3, 0.4, 2.0), (0.7, 1.3, 0.45), (6, 5, 9))
         fields = [random_field(rng), SlfField(skewed, rng.uniform(0.5, 3.5, skewed.dims))]
