@@ -52,6 +52,7 @@ from .tomography import (
     SlfField,
     TraversalResult,
     estimate_slf,
+    line_integrals,
     read_measurements_csv,
     read_slf_text,
     shadowing_ellipsoid_sum,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, EmptyProblemError
-from .geometry import Point3, Segment3
-from .tomography import SlfField, shadowing_line_integral
+from .geometry import Point3
+from .tomography import SlfField, line_integrals
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -111,34 +111,51 @@ class CapacityMatrix:
         return self.values.shape[1]
 
 
+def _free_space_db(params: ChannelParams, distance):
+    """Free-space gain in dB at a link distance or an array of them."""
+    return 20.0 * np.log10(params.wavelength / (4.0 * math.pi * distance))
+
+
+def _shannon_bps(params: ChannelParams, gain):
+    """Shannon rate in bit/s at a gain in dB or an array of them."""
+    snr = params.tx_power * 10.0 ** (gain / 10.0) / params.noise_power
+    return params.bandwidth * np.log2(1.0 + snr)
+
+
 def gain_db(params: ChannelParams, gt: Point3, abs_pos: Point3, shadow_db: float = 0.0) -> float:
     """Channel gain in dB at the given shadowing; singular for coincident points."""
     d = gt.distance_to(abs_pos)
     if d == 0.0:
         raise DomainError("gain undefined for coincident endpoints")
-    return 20.0 * math.log10(params.wavelength / (4.0 * math.pi * d)) - shadow_db
+    return float(_free_space_db(params, d)) - shadow_db
 
 
 def capacity_bps(params: ChannelParams, gain: float) -> float:
     """Shannon rate in bit/s for a link with the given gain in dB."""
-    snr = params.tx_power * 10.0 ** (gain / 10.0) / params.noise_power
-    return params.bandwidth * math.log2(1.0 + snr)
+    return float(_shannon_bps(params, gain))
 
 
 def build_capacity_matrix(params: ChannelParams, users, candidates, slf: SlfField) -> CapacityMatrix:
     """Capacity of every user-candidate link, shadowed by the loss field.
 
-    Every user and candidate must lie inside the field's voxel domain;
-    tomography domain errors propagate.
+    All M x G links go through ``line_integrals`` in one batch; distance,
+    gain and rate are computed as arrays, by the formulas of ``gain_db``
+    and ``capacity_bps``. Every user and candidate must lie inside the
+    field's voxel domain, and no user may coincide with a candidate; both
+    raise DomainError.
     """
     users = tuple(users)
     candidates = tuple(candidates)
-    values = np.empty((len(users), len(candidates)))
-    for m, u in enumerate(users):
-        for g, c in enumerate(candidates):
-            shadow = shadowing_line_integral(slf, Segment3(u, c))
-            values[m, g] = capacity_bps(params, gain_db(params, u, c, shadow))
-    return CapacityMatrix(values, users, candidates)
+    u = np.array([p.as_tuple() for p in users], dtype=float).reshape(-1, 3)
+    c = np.array([p.as_tuple() for p in candidates], dtype=float).reshape(-1, 3)
+    starts = np.repeat(u, len(c), axis=0)
+    ends = np.tile(c, (len(u), 1))
+    distance = np.linalg.norm(ends - starts, axis=1)
+    if np.any(distance == 0.0):
+        raise DomainError("gain undefined for coincident endpoints")
+    shadow = line_integrals(slf, starts, ends)
+    rate = _shannon_bps(params, _free_space_db(params, distance) - shadow)
+    return CapacityMatrix(rate.reshape(len(u), len(c)), users, candidates)
 
 
 def prune_zero_columns(cm: CapacityMatrix, threshold: float = 0.0):

@@ -223,6 +223,7 @@ class RunRecord:
     feasible: bool
     wall_ms: float
     seed: int
+    guarded: bool = False  # the solver refused the instance size (GuardError)
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,7 @@ class SweepSummary:
     stderr: float | None
     n_feasible: int
     n_infeasible: int
+    n_guarded: int
 
 
 @dataclass(frozen=True)
@@ -276,17 +278,21 @@ def _run_repetition(spec: ExperimentSpec, scenario: UrbanScenario, value, rep: i
     records = []
     for name in spec.solvers:
         start = time.perf_counter()
+        n: int | None = None
+        guarded = False
+        # partial failures keep their row (with an empty count) so the rest
+        # of the sweep still runs
         try:
-            n: int | None = _solve_one(name, cm, scenario.channel.min_rate, spec.placement)
-            feasible = True
-        except (InfeasibleError, GuardError):
-            # partial failures keep their row (with an empty count) so the
-            # rest of the sweep still runs
-            n = None
-            feasible = False
+            n = _solve_one(name, cm, scenario.channel.min_rate, spec.placement)
+        except InfeasibleError:
+            pass
+        except GuardError:
+            guarded = True
         wall_ms = (time.perf_counter() - start) * 1e3
         records.append(
-            RunRecord(spec.sweep, float(value), rep, name, n, feasible, wall_ms, spec.seed)
+            RunRecord(
+                spec.sweep, float(value), rep, name, n, n is not None, wall_ms, spec.seed, guarded
+            )
         )
     return records
 
@@ -294,7 +300,9 @@ def _run_repetition(spec: ExperimentSpec, scenario: UrbanScenario, value, rep: i
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run the sweep; per-run records plus mean/stderr aggregation.
 
-    Infeasible runs are recorded and counted but excluded from the means.
+    Infeasible runs and runs refused by a solver's size guard are recorded
+    with ``feasible`` False and counted apart (``n_infeasible``,
+    ``n_guarded``), but excluded from the means.
     Repetitions run serially in a fixed order, and each draws its users
     from its own seed, so the result is reproducible bit-for-bit from
     (spec, seed).
@@ -309,22 +317,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     summary = []
     for value in spec.values:
         for name in spec.solvers:
-            ns = [
-                r.n_abs
-                for r in records
-                if r.sweep_value == float(value) and r.solver == name and r.feasible
-            ]
-            bad = sum(
-                1
-                for r in records
-                if r.sweep_value == float(value) and r.solver == name and not r.feasible
-            )
+            runs = [r for r in records if r.sweep_value == float(value) and r.solver == name]
+            ns = [r.n_abs for r in runs if r.feasible]
+            guarded = sum(r.guarded for r in runs)
+            bad = len(runs) - len(ns) - guarded
             if ns:
                 mean = float(np.mean(ns))
                 stderr = float(np.std(ns, ddof=1) / np.sqrt(len(ns))) if len(ns) > 1 else 0.0
             else:
                 mean = stderr = None
-            summary.append(SweepSummary(float(value), name, mean, stderr, len(ns), bad))
+            summary.append(SweepSummary(float(value), name, mean, stderr, len(ns), bad, guarded))
     return ExperimentResult(spec=spec, records=tuple(records), summary=tuple(summary))
 
 
@@ -344,8 +346,11 @@ def write_runs_csv(result: ExperimentResult, path, record_timing: bool = False) 
 
 def write_summary_csv(result: ExperimentResult, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("sweep_value,solver,mean_N,stderr,n_feasible,n_infeasible\n")
+        fh.write("sweep_value,solver,mean_N,stderr,n_feasible,n_infeasible,n_guarded\n")
         for s in result.summary:
             mean = "" if s.mean_n is None else repr(s.mean_n)
             stderr = "" if s.stderr is None else repr(s.stderr)
-            fh.write(f"{s.sweep_value!r},{s.solver},{mean},{stderr},{s.n_feasible},{s.n_infeasible}\n")
+            fh.write(
+                f"{s.sweep_value!r},{s.solver},{mean},{stderr},"
+                f"{s.n_feasible},{s.n_infeasible},{s.n_guarded}\n"
+            )

@@ -13,6 +13,14 @@ conventional ellipsoid weighted sum (also provided, for comparison), this
 approximation is continuous in the endpoints, stays meaningful on coarse
 grids, and costs O(Qx + Qy + Qz) per segment instead of O(Q).
 
+``line_integrals`` evaluates many links at once: it computes each link's
+face crossings per axis in closed form, merges them with one stable sort
+and weights the intervals by the field, for a bounded chunk of links at a
+time. The capacity matrix, the estimator's design matrix and
+``shadowing_line_integral`` all run on it. ``traverse_voxels`` marches one
+segment face by face; it is the scalar reference the batched kernel
+reproduces interval for interval.
+
 All quantities are treated as dimensionless; with the field in dB/m the
 shadowing carries a dB * m^(1/2) scale, which cancels downstream because
 fields are always fit from observations through this same operator.
@@ -36,6 +44,7 @@ __all__ = [
     "Measurement",
     "TraversalResult",
     "traverse_voxels",
+    "line_integrals",
     "shadowing_line_integral",
     "shadowing_ellipsoid_sum",
     "estimate_slf",
@@ -185,18 +194,142 @@ def traverse_voxels(grid: RegularGrid3, seg: Segment3) -> TraversalResult:
     return TraversalResult(np.array(ts), np.array(voxels, dtype=int))
 
 
+_CHUNK_LINKS = 256  # links per pass of the batched kernel; bounds its temporaries
+
+
+def _check_inside(grid: RegularGrid3, points: np.ndarray) -> None:
+    """DomainError unless every row of ``points`` lies in the voxel domain."""
+    lo, hi = grid.domain_bounds()
+    outside = ~np.all((points >= lo) & (points <= hi), axis=1)
+    if outside.any():
+        p = tuple(float(c) for c in points[np.argmax(outside)])
+        raise DomainError(f"point {p} outside grid domain [{lo}, {hi}]")
+
+
+def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
+    """Voxel intervals of a chunk of links, one row per link a[i] -> b[i].
+
+    Returns ``(keep, lengths, flat)``, three (n, K) arrays: row i lists link
+    i's intervals in traversal order; ``keep`` marks the real ones, with
+    parameter length ``lengths`` in the voxel of flat index ``flat``.
+
+    Reproduces ``traverse_voxels`` step for step. The start voxel follows
+    ``containing_voxel``. Axis j's crossing k, with i_k = start[j] + k * inc[j]
+    the index before it, sits at (sp[j] * (i_k + 0.5 * inc[j]) - x1[j]) /
+    den[j], the marcher's own expression; a stable sort over the x, y, z
+    crossings of a link repeats the marcher's choice of the lowest axis on
+    ties. Marching stops at the first crossing at or past t = 1 or whose
+    next index leaves the grid. Negative parameters clip to 0 and
+    zero-length intervals are dropped; when the grid exit is such a
+    zero-length step, the last interval is stretched to t = 1 as the
+    marcher does.
+    """
+    n = len(a)
+    origin = np.array(grid.origin.as_tuple())
+    sp = np.array(grid.spacing)
+    dims = np.array(grid.dims)
+    x1 = a - origin
+    v = x1 / sp
+    start = np.where(v >= 0.0, np.floor(v + 0.5), np.ceil(v - 0.5))
+    start = np.clip(start, 0, dims - 1).astype(np.int64)
+    delta = (b - origin) - x1
+    inc = np.sign(delta).astype(np.int64)
+    den = np.where(delta != 0.0, delta, 1.0)
+    # Crossings before the index would leave the grid; the next one exits.
+    room = np.where(inc > 0, dims - 1 - start, start)
+    # Crossing floor(|delta| / sp) + 2 of an axis lies past t = 1 with a
+    # margin far above rounding, so no later one is ever reached.
+    count = np.minimum(room + 1, np.floor(np.abs(delta) / sp).astype(np.int64) + 3)
+    count[inc == 0] = 0
+
+    times, exits, axis = [], [], []
+    for j in range(3):
+        k = np.arange(count[:, j].max())
+        i = start[:, j, None] + k * inc[:, j, None]
+        t = (sp[j] * (i + 0.5 * inc[:, j, None]) - x1[:, j, None]) / den[:, j, None]
+        t[k >= count[:, j, None]] = np.inf
+        times.append(t)
+        exits.append(k == room[:, j, None])
+        axis.append(np.full(k.size, j))
+    times.append(np.full((n, 1), np.inf))  # a stop for links that move on no axis
+    exits.append(np.zeros((n, 1), dtype=bool))
+    axis.append([3])
+    times = np.concatenate(times, axis=1)
+    order = np.argsort(times, axis=1, kind="stable")
+    raw = np.take_along_axis(times, order, axis=1)
+    exit_ = np.take_along_axis(np.concatenate(exits, axis=1), order, axis=1)
+    axis = np.concatenate(axis)[order]
+
+    rows = np.arange(n)
+    stop = np.argmax((raw >= 1.0) | exit_, axis=1)
+    pos = np.arange(raw.shape[1])
+    # t[:, m] ends interval m; interval `stop` ends at 1, later ones are empty.
+    t = np.where(pos < stop[:, None], np.maximum(raw, 0.0), 1.0)
+    lo = np.concatenate([np.zeros((n, 1)), t[:, :-1]], axis=1)
+    zero_exit = exit_[rows, stop] & (raw[rows, stop] <= lo[rows, stop])
+    keep = t > lo
+    keep[rows[zero_exit], stop[zero_exit]] = False
+    if zero_exit.any():
+        if not keep[zero_exit].any(axis=1).all():
+            raise RuntimeError("voxel traversal produced no intervals")
+        last = keep.shape[1] - 1 - np.argmax(keep[zero_exit, ::-1], axis=1)
+        t[rows[zero_exit], last] = 1.0
+    lengths = np.where(keep, t - lo, 0.0)
+
+    flat = np.zeros(raw.shape, dtype=np.int64)
+    for j in range(3):
+        on_axis = axis == j
+        before = np.cumsum(on_axis, axis=1) - on_axis
+        flat = flat * dims[j] + start[:, j, None] + inc[:, j, None] * before
+    return keep, lengths, np.where(keep, flat, 0)
+
+
+def _link_chunks(grid: RegularGrid3, starts, ends):
+    """Yield ``(keep, coeff, flat)`` for each run of at most _CHUNK_LINKS
+    consecutive links, in order: ``coeff`` is sqrt(|b - a|) times the
+    interval length, the link's weight on voxel ``flat``.
+
+    Raises DomainError, before yielding anything, if an endpoint lies
+    outside the grid's voxel domain.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    _check_inside(grid, starts)
+    _check_inside(grid, ends)
+    # From the raw endpoints: origin-shifted ones lose digits on short links.
+    root = np.sqrt(np.linalg.norm(ends - starts, axis=1))
+    for first in range(0, len(starts), _CHUNK_LINKS):
+        part = slice(first, first + _CHUNK_LINKS)
+        keep, lengths, flat = _chunk_intervals(grid, starts[part], ends[part])
+        yield keep, root[part, None] * lengths, flat
+
+
+def line_integrals(slf: SlfField, starts, ends) -> np.ndarray:
+    """Shadowing of every link starts[i] -> ends[i], as an (L,) array.
+
+    The batched form of ``shadowing_line_integral``: the intervals of
+    ``traverse_voxels``, computed per axis in closed form for a chunk of
+    links at a time. A zero-length link gives 0. Raises DomainError if any
+    endpoint lies outside the field's voxel domain.
+    """
+    values = slf.values.ravel()
+    chunks = _link_chunks(slf.grid, starts, ends)
+    return np.concatenate(
+        [np.zeros(0)] + [(coeff * values[flat]).sum(axis=1) for _, coeff, flat in chunks]
+    )
+
+
 def shadowing_line_integral(slf: SlfField, seg: Segment3) -> float:
     """Shadowing between the segment endpoints via voxel traversal.
 
     Exact for the piecewise-constant field: for a constant field l0 and a
     segment of length d the result is l0 * sqrt(d) regardless of grid
     spacing. Continuous in both endpoints. A zero-length segment returns 0
-    by convention.
+    by convention. Runs ``line_integrals`` on a batch of one.
     """
     if seg.is_degenerate():
         return 0.0
-    trav = traverse_voxels(slf.grid, seg)
-    return math.sqrt(seg.length) * trav.integrate(slf.values)
+    return float(line_integrals(slf, seg.a.as_tuple(), seg.b.as_tuple())[0])
 
 
 def shadowing_ellipsoid_sum(slf: SlfField, seg: Segment3, width: float) -> float:
@@ -225,20 +358,20 @@ def shadowing_ellipsoid_sum(slf: SlfField, seg: Segment3, width: float) -> float
 
 def _design_matrix(measurements, grid: RegularGrid3) -> sparse.csr_matrix:
     """Sparse linear operator mapping a flattened field to predicted shadowing."""
-    ny, nz = grid.dims[1], grid.dims[2]
-    rows, cols, data = [], [], []
-    for k, m in enumerate(measurements):
-        seg = m.segment
-        trav = traverse_voxels(grid, seg)
-        coeff = math.sqrt(seg.length) * trav.interval_lengths()
-        flat = (trav.voxels[:, 0] * ny + trav.voxels[:, 1]) * nz + trav.voxels[:, 2]
-        rows.extend([k] * len(flat))
-        cols.extend(flat.tolist())
-        data.extend(coeff.tolist())
-    mat = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(len(measurements), grid.num_points)
+    starts = np.array([m.tx.as_tuple() for m in measurements], dtype=float)
+    ends = np.array([m.rx.as_tuple() for m in measurements], dtype=float)
+    counts, cols, data = [], [], []
+    for keep, coeff, flat in _link_chunks(grid, starts, ends):
+        counts.append(keep.sum(axis=1))
+        cols.append(flat[keep])
+        data.append(coeff[keep])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    mat = sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(cols), indptr),
+        shape=(len(measurements), grid.num_points),
     )
-    return mat.tocsr()
+    mat.sort_indices()
+    return mat
 
 
 def estimate_slf(
@@ -250,7 +383,9 @@ def estimate_slf(
     """Fit a loss field to observed shadowing values by ridge least squares.
 
     Minimizes sum_j (predicted_j - observed_j)^2 + ridge * ||field||^2 where
-    the prediction is the traversal line integral, linear in the field. With
+    the prediction is the traversal line integral, linear in the field; its
+    sparse design matrix comes from the batched kernel of
+    ``line_integrals``, one row of interval weights per link. With
     ridge = 0 and a rank-deficient system the minimum-norm least-squares
     solution is returned. Negative fitted values are clipped to zero by
     default since physical absorption is nonnegative.

@@ -18,6 +18,7 @@ from absplace import (
     noise_power_from_dbm,
     prune_zero_columns,
     shadowing_line_integral,
+    traverse_voxels,
 )
 
 PAPER_PARAMS = dict(
@@ -128,9 +129,30 @@ class TestCapacityMatrix:
         cm = build_capacity_matrix(p, users, cands, slf)
         for m, u in enumerate(users):
             for g, c in enumerate(cands):
-                xi = shadowing_line_integral(slf, Segment3(u, c))
+                # the scalar marcher, not the batched kernel under test
+                seg = Segment3(u, c)
+                xi = math.sqrt(seg.length) * traverse_voxels(slf.grid, seg).integrate(slf.values)
                 expect = capacity_bps(p, gain_db(p, u, c, xi))
                 assert cm.values[m, g] == pytest.approx(expect, rel=1e-12)
+
+    def test_no_users_gives_empty_rows(self):
+        slf = self.grid_and_field()
+        cands = [Point3(30, 30, 60), Point3(90, 20, 40)]
+        cm = build_capacity_matrix(params_24ghz(), [], cands, slf)
+        assert cm.values.shape == (0, 2)
+        assert cm.candidates == tuple(cands)
+
+    def test_user_outside_grid_raises(self):
+        slf = self.grid_and_field()
+        users = [Point3(10, 10, 0), Point3(10, 500, 0)]
+        with pytest.raises(DomainError):
+            build_capacity_matrix(params_24ghz(), users, [Point3(30, 30, 60)], slf)
+
+    def test_user_on_candidate_raises(self):
+        slf = self.grid_and_field()
+        cands = [Point3(30, 30, 60), Point3(90, 20, 40)]
+        with pytest.raises(DomainError):
+            build_capacity_matrix(params_24ghz(), [Point3(10, 10, 0), Point3(90, 20, 40)], cands, slf)
 
     def test_entries_nonnegative_finite(self):
         rng = np.random.default_rng(8)

@@ -206,6 +206,26 @@ class TestRunExperiment:
         assert not by_solver["exhaustive"].feasible
         assert by_solver["exhaustive"].n_abs is None
 
+    def test_guard_failures_counted_apart_from_infeasible(self):
+        # the demo-05 city with 40 candidates: exhaustive search refuses
+        # every instance, which is a guard violation, not infeasibility
+        spec = self.spec(
+            scenario=ScenarioParams(
+                slf_dims=(17, 17, 4), building_height=60.0, flight_dims=(5, 4, 2), num_users=5
+            ),
+            values=(2e7,),
+            repetitions=2,
+            seed=42,
+        )
+        result = run_experiment(spec)
+        assert [(r.solver, r.guarded) for r in result.records] == [
+            ("admm", False), ("exhaustive", True), ("admm", False), ("exhaustive", True)
+        ]
+        admm, exhaustive = result.summary
+        assert (admm.n_feasible, admm.n_infeasible, admm.n_guarded) == (2, 0, 0)
+        assert (exhaustive.n_feasible, exhaustive.n_infeasible, exhaustive.n_guarded) == (0, 0, 2)
+        assert exhaustive.mean_n is None
+
     def test_sweep_num_users(self):
         spec = self.spec(sweep="num_users", values=(1, 3), repetitions=1, solvers=("admm",))
         result = run_experiment(spec)
@@ -247,7 +267,7 @@ class TestRunExperiment:
         # timing suppressed by default so reruns are byte-identical
         assert all(line.split(",")[6] == "" for line in run_lines[1:])
         summary_lines = summary.read_text().splitlines()
-        assert summary_lines[0] == "sweep_value,solver,mean_N,stderr,n_feasible,n_infeasible"
+        assert summary_lines[0] == "sweep_value,solver,mean_N,stderr,n_feasible,n_infeasible,n_guarded"
         assert len(summary_lines) == 1 + len(result.summary)
 
     def test_oracle_improves_with_nested_flight_refinement(self):

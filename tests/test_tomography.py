@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from absplace import (
     DomainError,
@@ -11,6 +12,7 @@ from absplace import (
     Segment3,
     SlfField,
     estimate_slf,
+    line_integrals,
     read_measurements_csv,
     read_slf_text,
     shadowing_ellipsoid_sum,
@@ -19,6 +21,8 @@ from absplace import (
     write_measurements_csv,
     write_slf_text,
 )
+
+from absplace import tomography
 
 import oracles
 from oracles import dense_sampling_integral, merge_crossing_count, merge_traversal_integral
@@ -135,6 +139,153 @@ class TestLineIntegral:
         seg_len = Segment3(a, Point3(*start)).length
         bound = field.values.max() * (math.sqrt(seg_len + 2) + diam) * eta
         assert jumps.max() <= bound
+
+
+def face_biased_points(rng, grid, n):
+    """Points whose coordinates are, each at random, uniform, on a voxel
+    face (interior or outer), or on a grid point."""
+    d = np.array(grid.dims)
+    u = rng.uniform(-0.5, d - 0.5, (n, 3))
+    kind = rng.integers(0, 3, (n, 3))
+    faces = rng.integers(0, d + 1, (n, 3)) - 0.5  # k + 1/2 for k = -1 .. d - 1
+    u = np.where(kind == 1, faces, u)
+    u = np.where(kind == 2, np.round(u), u)
+    lo, hi = grid.domain_bounds()
+    return np.clip(np.array(grid.origin.as_tuple()) + u * np.asarray(grid.spacing), lo, hi)
+
+
+def edge_case_links(rng, grid, n=1200):
+    """Links biased toward the traversal's edge cases, in blocks of 200:
+    axis-parallel, lying in a face plane, 1e-9 m long, reversed copies of
+    the last block, then general face-biased links (n >= 1000)."""
+    a = face_biased_points(rng, grid, n)
+    b = face_biased_points(rng, grid, n)
+    axis = rng.integers(0, 3, n)
+    rows = np.arange(n)
+    parallel = rows[:200]
+    for j in range(3):  # b moves along one axis only
+        keep = parallel[axis[parallel] != j]
+        b[keep, j] = a[keep, j]
+    plane = rows[200:400]  # both endpoints on one face plane
+    k = rng.integers(-1, np.array(grid.dims)[axis[plane]])
+    lo, hi = grid.domain_bounds()
+    face = np.array(grid.origin.as_tuple())[axis[plane]] + (k + 0.5) * np.asarray(grid.spacing)[axis[plane]]
+    a[plane, axis[plane]] = b[plane, axis[plane]] = np.clip(face, lo[axis[plane]], hi[axis[plane]])
+    tiny = rows[400:600]
+    direction = rng.normal(size=(200, 3))
+    b[tiny] = np.clip(a[tiny] + 1e-9 * direction / np.linalg.norm(direction, axis=1)[:, None], lo, hi)
+    a[600:800], b[600:800] = b[n - 200 :].copy(), a[n - 200 :].copy()
+    return a, b
+
+
+def scalar_integrals(field, a, b):
+    """traverse_voxels + TraversalResult.integrate, link by link."""
+    out = []
+    for p, q in zip(a, b):
+        seg = Segment3(Point3(*p), Point3(*q))
+        if seg.is_degenerate():
+            out.append(0.0)
+        else:
+            out.append(math.sqrt(seg.length) * traverse_voxels(field.grid, seg).integrate(field.values))
+    return np.array(out)
+
+
+SKEWED = RegularGrid3(Point3(-1.3, 0.4, 2.0), (0.7, 1.3, 0.45), (6, 5, 9))
+
+
+class TestBatchedKernel:
+    """line_integrals and the design matrix against the scalar marcher."""
+
+    def grids(self):
+        return [unit_grid(), SKEWED, RegularGrid3(Point3(123.456, -7.1, 0.3), (2.9, 0.1, 1.0), (3, 17, 1))]
+
+    def test_matches_scalar_traversal_on_edge_cases(self):
+        rng = np.random.default_rng(60)
+        for grid in self.grids():
+            field = SlfField(grid, rng.uniform(0.5, 3.5, grid.dims))
+            a, b = edge_case_links(rng, grid)  # 1200 links: four full chunks and a partial one
+            assert len(a) > 2 * tomography._CHUNK_LINKS and len(a) % tomography._CHUNK_LINKS
+            got = line_integrals(field, a, b)
+            np.testing.assert_allclose(got, scalar_integrals(field, a, b), rtol=1e-13, atol=0)
+
+    def test_intervals_match_marcher_exactly(self):
+        # same voxels and bit-identical parameter lengths, link by link
+        rng = np.random.default_rng(61)
+        grid = SKEWED
+        ny, nz = grid.dims[1], grid.dims[2]
+        a, b = edge_case_links(rng, grid)
+        keep, lengths, flat = tomography._chunk_intervals(grid, a, b)
+        for i, (p, q) in enumerate(zip(a, b)):
+            trav = traverse_voxels(grid, Segment3(Point3(*p), Point3(*q)))
+            v = trav.voxels
+            np.testing.assert_array_equal(flat[i][keep[i]], (v[:, 0] * ny + v[:, 1]) * nz + v[:, 2])
+            np.testing.assert_array_equal(lengths[i][keep[i]], trav.interval_lengths())
+
+    def test_crossing_behind_start_clips_to_zero(self):
+        # a sits on a voxel corner; one of its faces rounds to a parameter
+        # just below 0, which must count as 0 or the next interval grows
+        grid = RegularGrid3(Point3(0.8, -5.7, 5.6), (0.9, 2.7, 1.6), (4, 4, 4))
+        a = np.array(grid.origin.as_tuple()) + np.array([0.5, 2.5, 0.5]) * np.asarray(grid.spacing)
+        b = np.array([0.9777820490298805, -1.8097972059068734, 7.208302720968654])
+        trav = traverse_voxels(grid, Segment3(Point3(*a), Point3(*b)))
+        keep, lengths, _ = tomography._chunk_intervals(grid, a[None], b[None])
+        np.testing.assert_array_equal(lengths[keep], trav.interval_lengths())
+
+    def test_zero_length_grid_exit_stretches_last_interval(self):
+        # b sits on the x face between voxels 0 and 1 and on the outer y
+        # face; both crossings round to the same t < 1, the x one is taken
+        # first, and the y exit then adds no interval, so the marcher
+        # stretches voxel 0's interval to t = 1
+        grid = RegularGrid3(Point3(-9.3, -9.3, -9.3), (2.6, 2.6, 2.6), (2, 1, 1))
+        a, b = np.array([-9.2, -9.2, -9.3]), np.array([-8.0, -8.0, -9.3])
+        trav = traverse_voxels(grid, Segment3(Point3(*a), Point3(*b)))
+        assert [tuple(v) for v in trav.voxels] == [(0, 0, 0)]
+        keep, lengths, flat = tomography._chunk_intervals(grid, a[None], b[None])
+        assert flat[keep].tolist() == [0] and lengths[keep].tolist() == [1.0]
+        field = SlfField(grid, np.array([2.0, 5.0]).reshape(2, 1, 1))
+        assert line_integrals(field, a, b)[0] == 2.0 * math.sqrt(float(np.linalg.norm(b - a)))
+
+    def test_length_from_raw_endpoints(self):
+        # The mutant takes sqrt(|b - a|) from origin-shifted endpoints; on
+        # 1e-9 m links far from the origin it is off by far more than the
+        # kernel's tolerance, so the 1e-9 m case above guards the choice.
+        rng = np.random.default_rng(62)
+        grid = RegularGrid3(Point3(123.456, -7.1, 0.3), (2.9, 0.1, 1.0), (3, 17, 1))
+        field = SlfField(grid, rng.uniform(0.5, 3.5, grid.dims))
+        a, b = edge_case_links(rng, grid)
+        a, b = a[400:600], b[400:600]
+        got = line_integrals(field, a, b)
+        ref = scalar_integrals(field, a, b)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        origin = np.array(grid.origin.as_tuple())
+        shifted = np.sqrt(np.linalg.norm((b - origin) - (a - origin), axis=1))
+        mutant = got / np.sqrt(np.linalg.norm(b - a, axis=1)) * shifted
+        assert np.max(np.abs(mutant - ref) / ref) > 1e-9
+
+    def test_design_matrix_matches_link_by_link_csr(self):
+        rng = np.random.default_rng(63)
+        grid = SKEWED
+        a, b = edge_case_links(rng, grid)
+        meas = [Measurement(Point3(*p), Point3(*q), 0.0) for p, q in zip(a, b) if np.any(p != q)]
+        rows, cols, data = [], [], []
+        ny, nz = grid.dims[1], grid.dims[2]
+        for k, m in enumerate(meas):
+            trav = traverse_voxels(grid, m.segment)
+            v = trav.voxels
+            rows += [k] * len(v)
+            cols += ((v[:, 0] * ny + v[:, 1]) * nz + v[:, 2]).tolist()
+            data += (math.sqrt(m.segment.length) * trav.interval_lengths()).tolist()
+        ref = sparse.coo_matrix((data, (rows, cols)), shape=(len(meas), grid.num_points)).tocsr()
+        got = tomography._design_matrix(meas, grid)
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_allclose(got.data, ref.data, rtol=1e-15, atol=0)
+
+    def test_empty_batch_and_domain(self):
+        field = random_field(np.random.default_rng(64))
+        assert line_integrals(field, np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+        with pytest.raises(DomainError):
+            line_integrals(field, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], [[3.0, 3.0, 3.0], [2.0, 9.0, 2.0]])
 
 
 class TestDenseSamplingOracle:
