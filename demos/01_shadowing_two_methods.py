@@ -13,8 +13,8 @@ from absplace import (
     RegularGrid3,
     Segment3,
     SlfField,
+    line_integrals,
     shadowing_ellipsoid_sum,
-    shadowing_line_integral,
 )
 
 # a 3 dB/m wall: one slab of voxels in an otherwise empty 40 x 40 x 20 m box
@@ -26,13 +26,14 @@ field = SlfField(grid, values)
 tx = Point3(5.0, 20.0, 2.0)
 print(f"transmitter at {tx.as_tuple()}, wall at x = 18..20 m, 3 dB/m")
 print(f"{'rx_y':>6} {'traversal':>10} {'ell w=0.125':>12} {'ell w=4':>10}")
-for y in np.linspace(12.0, 28.0, 17):
-    rx = Point3(35.0, float(y), 2.0)
+receivers = [Point3(35.0, float(y), 2.0) for y in np.linspace(12.0, 28.0, 17)]
+# all links in one batched traversal
+traversal = line_integrals(field, [tx.as_tuple()] * len(receivers), [rx.as_tuple() for rx in receivers])
+for rx, xi_t in zip(receivers, traversal):
     seg = Segment3(tx, rx)
-    xi_t = shadowing_line_integral(field, seg)
     xi_thin = shadowing_ellipsoid_sum(field, seg, width=0.125)
     xi_wide = shadowing_ellipsoid_sum(field, seg, width=4.0)
-    print(f"{y:6.1f} {xi_t:10.4f} {xi_thin:12.4f} {xi_wide:10.4f}")
+    print(f"{rx.y:6.1f} {xi_t:10.4f} {xi_thin:12.4f} {xi_wide:10.4f}")
 
 print()
 print("Every one of these paths punches through ~2 m of wall, and the")

@@ -15,9 +15,9 @@ from absplace import (
     Segment3,
     SlfField,
     estimate_slf,
+    line_integrals,
     read_measurements_csv,
     read_slf_text,
-    shadowing_line_integral,
     write_measurements_csv,
     write_slf_text,
 )
@@ -27,14 +27,16 @@ grid = RegularGrid3(Point3(0, 0, 0), (5.0, 5.0, 4.0), (6, 5, 3))
 truth = SlfField(grid, rng.uniform(0.0, 3.0, grid.dims))
 
 lo, hi = grid.domain_bounds()
-measurements = []
+links = []
 for _ in range(800):
     a = rng.uniform(lo + 0.1, hi - 0.1)
     b = rng.uniform(lo + 0.1, hi - 0.1)
     if np.linalg.norm(b - a) < 8.0:
         continue
-    seg = Segment3(Point3(*a), Point3(*b))
-    measurements.append(Measurement(seg.a, seg.b, shadowing_line_integral(truth, seg)))
+    links.append(Segment3(Point3(*a), Point3(*b)))
+# every link's forward integral in one batched traversal
+shadowing = line_integrals(truth, [s.a.as_tuple() for s in links], [s.b.as_tuple() for s in links])
+measurements = [Measurement(s.a, s.b, float(xi)) for s, xi in zip(links, shadowing)]
 
 print(f"{len(measurements)} noiseless link measurements over a "
       f"{grid.dims[0]}x{grid.dims[1]}x{grid.dims[2]} voxel field")

@@ -38,6 +38,12 @@ primal/dual residual rule. Solutions are extracted by thresholding column
 sup-norms, then repaired (greedy add by decreasing column norm) and pruned
 (greedy drop, weakest column first) against the actual capacities so the
 returned set is always feasible and contains no redundant station.
+Coverage is exact: a user is covered iff math.fsum of its selected
+capacities reaches r_min. Greedy keeps the selected set's float row totals
+as an M-vector, so each visited column costs one O(M) add or subtract; a
+row's verdict comes from its float total when that lies outside a rigorous
+rounding band around r_min, and from math.fsum over the members otherwise
+(``_Coverage``, shared with ``covers`` and the infeasibility guards).
 """
 
 from __future__ import annotations
@@ -165,7 +171,11 @@ def _x_step(A, w, rho):
 
 
 def _z_step(B, C, r_min):
-    """All Z-step rows of B = R + U at once; assumes every row satisfies sum(C) >= r_min."""
+    """All Z-step rows of B = R + U at once; assumes every row can reach r_min.
+
+    A row that reaches r_min only in exact arithmetic (its float sum(C)
+    falls short by rounding) gets z = c.
+    """
     # G(lam) is sum(C) left of every breakpoint and 0 right of them; between
     # consecutive sorted breakpoints its slope is minus the number n_open of
     # entries with b - c < lam < b (each b - c opens such an entry, each b
@@ -183,8 +193,8 @@ def _z_step(B, C, r_min):
     gv[:, -1] = 0.0  # exact: every entry is clipped to zero at the last breakpoint
     j = np.argmax(gv <= r_min, axis=1)
     # gv[j-1] > r_min >= gv[j]: lam lies in the segment ending at j, where
-    # n_open is positive. j == 0 only when sum(C) == r_min; the excess is
-    # then zero and lam is the first breakpoint, where z = c.
+    # n_open is positive. j == 0 only when sum(C) <= r_min; lam is then at
+    # or below the first breakpoint, where z = c.
     i = np.maximum(j - 1, 0)
     lam = points[rows, i] + (gv[rows, i] - r_min) / np.maximum(n_open[rows, i], 1)
     return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
@@ -218,7 +228,7 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
     r = np.asarray(r_row, dtype=float).reshape(1, -1)
     u = np.asarray(u_row, dtype=float).reshape(1, -1)
     c = np.asarray(c_row, dtype=float).reshape(1, -1)
-    if c.sum() < r_min:
+    if _uncoverable_rows(c, r_min).size:
         raise InfeasibleError(
             f"row capacity {c.sum():.6g} below the target rate {r_min:.6g}", users=(0,)
         )
@@ -229,8 +239,62 @@ def _capacity_values(C) -> np.ndarray:
     return np.asarray(getattr(C, "values", C), dtype=float)
 
 
+_EPS = float(np.finfo(float).eps)
+# Rows whose absolute sum reaches this always take the exact fallback: below
+# it, no float total built from their entries can overflow.
+_ABS_SUM_LIMIT = float(np.finfo(float).max) / 4
+
+
+class _Coverage:
+    """The one coverage rule: row m of a member set covers iff
+    ``math.fsum(values[m, members]) >= r_min``, decided from float totals.
+
+    Callers keep the float row totals of the member columns. A total built
+    from the columns of ``values`` (M x G) by at most 2G + 1 additions and
+    subtractions lies within (2G + 1) u A_m / (1 - (2G + 1) u) of the exact
+    member sum, where u = eps / 2 and A_m = sum_g |values[m, g]| bounds every
+    exact partial sum (Higham 2002, ch. 4). The pad (2G + 2) eps A_m is
+    about twice that, and eps |r_min| more absorbs the rounding of
+    r_min -/+ pad. A total outside [lo, hi] = [r_min - pad, r_min + pad]
+    therefore decides its row exactly. Rows inside, rows with a NaN total
+    and rows whose A_m nears overflow (their pad is infinite) are decided by
+    math.fsum over the members: a float filter with an exact fallback
+    (Shewchuk 1997). ``members`` is anything that indexes the columns of
+    ``values``: a boolean mask, an index sequence or a slice.
+    """
+
+    def __init__(self, values: np.ndarray, r_min: float):
+        self.values = values
+        self.r_min = r_min
+        abs_sum = np.abs(values).sum(axis=1)
+        pad = (2 * values.shape[1] + 2) * _EPS * abs_sum + _EPS * abs(r_min)
+        pad[~(abs_sum < _ABS_SUM_LIMIT)] = np.inf
+        self.lo = r_min - pad
+        self.hi = r_min + pad
+
+    def short_rows(self, members, totals: np.ndarray) -> np.ndarray:
+        """Indices of the rows whose exact member sum falls below r_min."""
+        short = totals < self.lo
+        for m in np.flatnonzero(~short & ~(totals > self.hi)):
+            short[m] = not math.fsum(self.values[m, members]) >= self.r_min
+        return np.flatnonzero(short)
+
+    def covers(self, members, totals: np.ndarray) -> bool:
+        """True iff every row covers; ``members`` must not be empty."""
+        if (totals > self.hi).all():
+            return True
+        if (totals < self.lo).any():
+            return False
+        return self.short_rows(members, totals).size == 0
+
+
+def _uncoverable_rows(values: np.ndarray, r_min: float) -> np.ndarray:
+    """Rows that even every column together leaves short, by the coverage rule."""
+    return _Coverage(values, r_min).short_rows(slice(None), values.sum(axis=1))
+
+
 def _check_rows_coverable(values: np.ndarray, r_min: float) -> None:
-    short = np.flatnonzero(values.sum(axis=1) < r_min)
+    short = _uncoverable_rows(values, r_min)
     if short.size:
         raise InfeasibleError(
             "users not coverable even with every candidate active: "
@@ -335,14 +399,17 @@ def reweight(R: np.ndarray, r_min: float, eps: float = 1e-3) -> np.ndarray:
 def covers(values: np.ndarray, subset, r_min: float) -> bool:
     """True iff the selected columns jointly give every user at least r_min.
 
-    Row totals use exact summation so the verdict cannot depend on the
-    order the columns are listed in.
+    The verdict is exact, ``math.fsum`` of each row's selected entries
+    against r_min, so it cannot depend on the order the columns are listed
+    in. Float row totals decide every row outside a rigorous rounding band
+    around r_min; only rows inside it are summed with ``math.fsum``. A
+    column listed twice counts twice; the empty set covers iff r_min <= 0.
     """
     subset = list(subset)
     if not subset:
         return bool(r_min <= 0)
     sub = values[:, subset]
-    return all(math.fsum(row) >= r_min for row in sub)
+    return _Coverage(sub, r_min).covers(slice(None), sub.sum(axis=1))
 
 
 def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected) -> list[int]:
@@ -356,23 +423,44 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     the candidates reorders the output set identically. The column index is
     the final fallback, relevant only for byte-identical duplicate columns.
     Assumes the full column set covers.
+
+    The set's float row totals are kept as an M-vector, so each visited
+    column costs one O(M) add or subtract and a comparison against the
+    rounding band of ``covers``; only rows inside the band are re-summed
+    exactly over the members. Every verdict equals that of ``covers``.
     """
     scores = np.asarray(scores, dtype=float)
-    rank = np.empty(values.shape[1], dtype=int)
-    rank[np.lexsort(values)] = np.arange(values.shape[1])
+    n = values.shape[1]
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort(values)] = np.arange(n)
+    rule = _Coverage(values, r_min)
     selected = sorted(set(int(g) for g in selected))
-    if not covers(values, selected, r_min):
-        remaining = [g for g in range(values.shape[1]) if g not in selected]
+    members = np.zeros(n, dtype=bool)
+    members[selected] = True
+    totals = values[:, selected].sum(axis=1)
+
+    def covered(totals, size):
+        # `totals` sums the `size` columns in `members`; the empty set as in `covers`
+        return rule.covers(members, totals) if size else bool(r_min <= 0)
+
+    if not covered(totals, len(selected)):
+        remaining = np.flatnonzero(~members).tolist()
         remaining.sort(key=lambda g: (-scores[g], rank[g], g))
         for g in remaining:
             selected.append(g)
-            if covers(values, selected, r_min):
+            members[g] = True
+            totals = totals + values[:, g]
+            if covered(totals, len(selected)):
                 break
+    size = len(selected)
     for g in sorted(selected, key=lambda g: (scores[g], -rank[g], -g)):
-        trial = [h for h in selected if h != g]
-        if covers(values, trial, r_min):
-            selected = trial
-    return sorted(selected)
+        members[g] = False
+        trial = totals - values[:, g]
+        if covered(trial, size - 1):
+            totals, size = trial, size - 1
+        else:
+            members[g] = True
+    return np.flatnonzero(members).tolist()
 
 
 def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = PlacementConfig()) -> PlacementResult:

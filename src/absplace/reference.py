@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InfeasibleError
-from .placement import covers, greedy_cover_from_scores
+from .placement import _Coverage, _uncoverable_rows, greedy_cover_from_scores
 
 __all__ = [
     "LpProblem",
@@ -255,14 +255,16 @@ def exhaustive_min_abs(C, r_min: float, guard: int = 25):
     """Smallest feasible candidate subset by brute force.
 
     Enumerates subsets in increasing cardinality (lexicographic inside each
-    size) and returns the first that covers, as (size, witness tuple).
-    Guarded to G <= ``guard`` columns.
+    size) and returns the first that covers, as (size, witness tuple),
+    by the exact coverage rule of ``covers``. Guarded to G <= ``guard``
+    columns.
     """
     values = np.asarray(getattr(C, "values", C), dtype=float)
     m, g = values.shape
     if g > guard:
         raise GuardError(f"exhaustive search guarded to {guard} columns, got {g}")
-    short = np.flatnonzero(values.sum(axis=1) < r_min)
+    rule = _Coverage(values, r_min)
+    short = rule.short_rows(slice(None), values.sum(axis=1))
     if short.size:
         raise InfeasibleError(
             "no subset can cover users: " + ", ".join(str(int(u)) for u in short),
@@ -270,7 +272,7 @@ def exhaustive_min_abs(C, r_min: float, guard: int = 25):
         )
     for size in range(1, g + 1):
         for subset in itertools.combinations(range(g), size):
-            if covers(values, subset, r_min):
+            if rule.covers(subset, values[:, subset].sum(axis=1)):
                 return size, subset
     raise AssertionError("unreachable: full candidate set covers by the check above")
 
@@ -319,7 +321,7 @@ def solve_alpha_lp(C, r_min: float, rounds: int = 4, eps: float = 1e-3, tau: flo
     """
     values = np.asarray(getattr(C, "values", C), dtype=float)
     m, g = values.shape
-    short = np.flatnonzero(values.sum(axis=1) < r_min)
+    short = _uncoverable_rows(values, r_min)
     if short.size:
         raise InfeasibleError(
             "activation LP infeasible for users: " + ", ".join(str(int(u)) for u in short),

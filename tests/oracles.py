@@ -248,3 +248,37 @@ def random_feasible_instance(rng, m_max=4, g_max=10, scale_choices=(1.0, 5e6)):
     deficit = np.clip(r_min - values.sum(axis=1, keepdims=True), 0.0, None)
     values = values + 1.2 * deficit / g
     return values, r_min
+
+
+def fsum_covers(values: np.ndarray, subset, r_min: float) -> bool:
+    """Coverage by the definition: math.fsum of each row's selected entries."""
+    subset = list(subset)
+    if not subset:
+        return r_min <= 0
+    return all(math.fsum(row) >= r_min for row in values[:, subset])
+
+
+def greedy_cover_reference(values: np.ndarray, r_min: float, scores, selected) -> list[int]:
+    """Repair then prune with an exact coverage check per trial set.
+
+    The same visit order as ``greedy_cover_from_scores`` (repair by
+    decreasing score, prune by increasing score, exact ties by the columns'
+    lexicographic rank, then by index), but every trial set is re-summed
+    with math.fsum from scratch: no running totals, no rounding band.
+    """
+    scores = np.asarray(scores, dtype=float)
+    rank = np.empty(values.shape[1], dtype=int)
+    rank[np.lexsort(values)] = np.arange(values.shape[1])
+    selected = sorted(set(int(g) for g in selected))
+    if not fsum_covers(values, selected, r_min):
+        remaining = [g for g in range(values.shape[1]) if g not in selected]
+        remaining.sort(key=lambda g: (-scores[g], rank[g], g))
+        for g in remaining:
+            selected.append(g)
+            if fsum_covers(values, selected, r_min):
+                break
+    for g in sorted(selected, key=lambda g: (scores[g], -rank[g], -g)):
+        trial = [h for h in selected if h != g]
+        if fsum_covers(values, trial, r_min):
+            selected = trial
+    return sorted(selected)

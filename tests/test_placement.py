@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,14 @@ from absplace import (
     z_step_row,
 )
 
-from oracles import random_feasible_instance, x_step_root_exact, z_step_root_exact
+from absplace.placement import greedy_cover_from_scores
+from oracles import (
+    fsum_covers,
+    greedy_cover_reference,
+    random_feasible_instance,
+    x_step_root_exact,
+    z_step_root_exact,
+)
 
 
 def as_matrix(values):
@@ -335,6 +344,109 @@ class TestSolvePlacement:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,primal,dual,objective"
         assert len(lines) == result.objective_trace.shape[0] + 1
+
+
+# One row whose float sums lose the ten tiny entries that its exact sum keeps:
+# r_min is that exact sum, so only the full set covers.
+TINY_ROW = [1.0] + [2.0**-53] * 10
+
+
+def _near_threshold_instance(rng):
+    """Columns mixing O(1) entries with entries of a few ulps, and an r_min
+    within three ulps of the exact total of a random column subset."""
+    m = int(rng.integers(1, 4))
+    g = int(rng.integers(3, 12))
+    big = rng.choice([0.0, 0.25, 0.5, 1.0], (m, g))
+    tiny = rng.integers(0, 4, (m, g)) * 2.0 ** -int(rng.integers(52, 55))
+    values = np.where(rng.random((m, g)) < 0.5, big, tiny)
+    values[:, 0] += 1.0  # every row coverable by the full set below
+    subset = np.flatnonzero(rng.random(g) < 0.7)
+    if not subset.size:
+        subset = np.arange(g)
+    r_min = min(math.fsum(row) for row in values[:, subset])
+    for _ in range(abs(int(rng.integers(-3, 4)))):
+        r_min = float(np.nextafter(r_min, rng.choice([-np.inf, np.inf])))
+    return values, r_min
+
+
+class TestCoverageRule:
+    """The running-total greedy and ``covers`` against the fsum definition."""
+
+    @staticmethod
+    def _initial(rng, g):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            return []
+        if kind == 1:
+            return list(range(g))
+        return np.flatnonzero(rng.random(g) < rng.random()).tolist()
+
+    def test_greedy_matches_reference_on_random_instances(self):
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            values, r_min = random_feasible_instance(rng, m_max=6, g_max=14)
+            g = values.shape[1]
+            dup = rng.integers(0, g, int(rng.integers(0, g + 1)))
+            values = np.concatenate([values, values[:, dup]], axis=1)
+            g = values.shape[1]
+            scores = rng.uniform(0.0, 1.0, g)
+            if rng.random() < 0.5:
+                scores = np.round(scores * 2.0) / 2.0  # many exact ties
+            initial = self._initial(rng, g)
+            assert greedy_cover_from_scores(values, r_min, scores, initial) == greedy_cover_reference(
+                values, r_min, scores, initial
+            )
+
+    def test_greedy_matches_reference_near_threshold(self):
+        rng = np.random.default_rng(37)
+        for _ in range(400):
+            values, r_min = _near_threshold_instance(rng)
+            g = values.shape[1]
+            scores = np.round(rng.uniform(0.0, 1.0, g) * 3.0) / 3.0
+            initial = self._initial(rng, g)
+            assert greedy_cover_from_scores(values, r_min, scores, initial) == greedy_cover_reference(
+                values, r_min, scores, initial
+            )
+
+    def test_covers_matches_fsum_near_threshold(self):
+        rng = np.random.default_rng(38)
+        for _ in range(400):
+            values, r_min = _near_threshold_instance(rng)
+            subset = np.flatnonzero(rng.random(values.shape[1]) < 0.7).tolist()
+            assert covers(values, subset, r_min) == fsum_covers(values, subset, r_min)
+
+    def test_tiny_entries_decided_exactly(self):
+        values = np.array([TINY_ROW])
+        r_min = math.fsum(TINY_ROW)
+        everything = list(range(values.shape[1]))
+        assert values.sum() < r_min  # float totals alone would say short
+        assert covers(values, everything, r_min)
+        assert not covers(values, everything[:-1], r_min)
+        for initial in ([], [0], everything):
+            assert greedy_cover_from_scores(values, r_min, np.ones(11), initial) == everything
+        assert covers(values, everything, float(np.nextafter(r_min, -np.inf)))
+        assert not covers(values, everything, float(np.nextafter(r_min, np.inf)))
+
+    def test_full_set_guard_uses_exact_rule(self):
+        # The full set covers by the exact rule, so no guard may call the row
+        # infeasible because its float sum falls short.
+        values = np.array([TINY_ROW])
+        r_min = math.fsum(TINY_ROW)
+        result = solve_placement(as_matrix(values), r_min)
+        assert result.selected == tuple(range(11))
+        assert result.feasible
+        admm_solve(values, r_min, max_iter=5)
+        z = z_step_row(np.zeros(11), np.zeros(11), TINY_ROW, r_min)
+        assert z.sum() == pytest.approx(r_min, rel=1e-15)
+        with pytest.raises(InfeasibleError):
+            solve_placement(as_matrix(values), float(np.nextafter(r_min, np.inf)))
+
+    def test_empty_set(self):
+        values = np.array([[0.0, 2.0]])
+        assert covers(values, [], 0.0)
+        assert not covers(values, [], 1.0)
+        assert greedy_cover_from_scores(values, 0.0, [1.0, 2.0], [0, 1]) == []
+        assert greedy_cover_from_scores(values, 1.0, [1.0, 2.0], []) == [1]
 
 
 def test_config_validation():
