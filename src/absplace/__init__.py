@@ -26,14 +26,7 @@ from .placement import (
     x_step_column,
     z_step_row,
 )
-from .reference import (
-    LpProblem,
-    LpSolution,
-    exhaustive_min_abs,
-    solve_alpha_lp,
-    solve_epigraph_lp,
-    solve_lp,
-)
+from .reference import exhaustive_min_abs, solve_alpha_lp, solve_epigraph_lp
 from .scenario import (
     ExperimentResult,
     ExperimentSpec,

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CapacityMatrix
-from .errors import InfeasibleError
+from .errors import EmptyProblemError, InfeasibleError
 from .geometry import Point3
 
 __all__ = [
@@ -228,10 +228,7 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
     r = np.asarray(r_row, dtype=float).reshape(1, -1)
     u = np.asarray(u_row, dtype=float).reshape(1, -1)
     c = np.asarray(c_row, dtype=float).reshape(1, -1)
-    if _uncoverable_rows(c, r_min).size:
-        raise InfeasibleError(
-            f"row capacity {c.sum():.6g} below the target rate {r_min:.6g}", users=(0,)
-        )
+    _check_rows_coverable(c, r_min)
     return _z_step(r + u, c, float(r_min))[0]
 
 
@@ -288,19 +285,29 @@ class _Coverage:
         return self.short_rows(members, totals).size == 0
 
 
-def _uncoverable_rows(values: np.ndarray, r_min: float) -> np.ndarray:
-    """Rows that even every column together leaves short, by the coverage rule."""
-    return _Coverage(values, r_min).short_rows(slice(None), values.sum(axis=1))
+def _coverage_rule(values: np.ndarray, r_min: float) -> _Coverage:
+    """The coverage rule of ``values``; EmptyProblemError (a ValueError) when
+    it has no users, since no solver can place stations for nobody."""
+    if values.shape[0] == 0:
+        raise EmptyProblemError("capacity matrix has no users to cover")
+    return _Coverage(values, r_min)
 
 
-def _check_rows_coverable(values: np.ndarray, r_min: float) -> None:
-    short = _uncoverable_rows(values, r_min)
+def _check_rows_coverable(values: np.ndarray, r_min: float) -> _Coverage:
+    """The entry guard of the solvers; returns the coverage rule of ``values``.
+
+    Raises as ``_coverage_rule`` does, and InfeasibleError naming the users
+    that even every column together leaves short.
+    """
+    rule = _coverage_rule(values, r_min)
+    short = rule.short_rows(slice(None), values.sum(axis=1))
     if short.size:
         raise InfeasibleError(
             "users not coverable even with every candidate active: "
             + ", ".join(str(int(m)) for m in short),
             users=short.tolist(),
         )
+    return rule
 
 
 def admm_solve(
@@ -422,18 +429,19 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     visit order is a function of column content, not position: reordering
     the candidates reorders the output set identically. The column index is
     the final fallback, relevant only for byte-identical duplicate columns.
-    Assumes the full column set covers.
+    Assumes the full column set covers; raises EmptyProblemError on a
+    matrix with no users.
 
     The set's float row totals are kept as an M-vector, so each visited
     column costs one O(M) add or subtract and a comparison against the
     rounding band of ``covers``; only rows inside the band are re-summed
     exactly over the members. Every verdict equals that of ``covers``.
     """
+    rule = _coverage_rule(values, r_min)
     scores = np.asarray(scores, dtype=float)
     n = values.shape[1]
     rank = np.empty(n, dtype=int)
     rank[np.lexsort(values)] = np.arange(n)
-    rule = _Coverage(values, r_min)
     selected = sorted(set(int(g) for g in selected))
     members = np.zeros(n, dtype=bool)
     members[selected] = True

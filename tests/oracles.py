@@ -196,23 +196,6 @@ def scipy_epigraph_optimum(values: np.ndarray, r_min: float, w=None) -> float:
     return float(res.fun)
 
 
-def scipy_lp_optimum(problem) -> float:
-    """Solve an LpProblem container with scipy for cross-checking."""
-    bounds = list(zip(problem.lower, [u if np.isfinite(u) else None for u in problem.upper]))
-    res = linprog(
-        problem.c,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"scipy reference LP failed: {res.message}")
-    return float(res.fun)
-
-
 def exhaustive_bitmask(values: np.ndarray, r_min: float):
     """Second enumeration order: scan all bitmasks, keep the best by size.
 

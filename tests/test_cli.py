@@ -120,7 +120,7 @@ experiment:
   values: [2.0e6, 8.0e6]
   repetitions: 2
   seed: 11
-  solvers: [admm, exhaustive]
+  solvers: [admm, exhaustive, alpha_lp]
 """,
         )
 
@@ -134,9 +134,9 @@ experiment:
         assert (out_a / "runs.csv").read_bytes() == (out_b / "runs.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
         runs = (out_a / "runs.csv").read_text().splitlines()
-        assert len(runs) == 1 + 2 * 2 * 2  # values x reps x solvers
+        assert len(runs) == 1 + 2 * 2 * 3  # values x reps x solvers
         summary = (out_a / "summary.csv").read_text().splitlines()
-        assert len(summary) == 1 + 2 * 2  # values x solvers
+        assert len(summary) == 1 + 2 * 3  # values x solvers
 
     def test_single_repetition_mean_equals_run(self, tmp_path):
         cfg = self.config(tmp_path)

@@ -1,100 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import absplace
 from absplace import (
+    ChannelParams,
     GuardError,
     InfeasibleError,
-    LpProblem,
+    ScenarioParams,
     admm_solve,
+    build_capacity_matrix,
+    build_urban,
     exhaustive_min_abs,
+    noise_power_from_dbm,
+    sample_users,
     solve_alpha_lp,
     solve_epigraph_lp,
-    solve_lp,
     solve_placement,
 )
-from absplace.placement import covers
+from absplace.placement import covers, greedy_cover_from_scores
 
 from oracles import (
     exhaustive_bitmask,
     random_feasible_instance,
     scipy_epigraph_optimum,
-    scipy_lp_optimum,
 )
-
-
-class TestSimplexCore:
-    def test_box_lp(self):
-        # min -x - y st x + y <= 1, 0 <= x,y <= 1  ->  -1 on the segment
-        p = LpProblem(
-            c=[-1.0, -1.0],
-            a_ub=[[1.0, 1.0]],
-            b_ub=[1.0],
-            lower=np.zeros(2),
-            upper=np.ones(2),
-        )
-        sol = solve_lp(p)
-        assert sol.objective == pytest.approx(-1.0, abs=1e-10)
-        assert sol.duality_gap <= 1e-8
-
-    def test_equality_with_shifted_bounds(self):
-        # min x + 2y st x + y = 3, 1 <= x <= 2, 0 <= y
-        p = LpProblem(
-            c=[1.0, 2.0],
-            a_eq=[[1.0, 1.0]],
-            b_eq=[3.0],
-            lower=[1.0, 0.0],
-            upper=[2.0, np.inf],
-        )
-        sol = solve_lp(p)
-        np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-9)
-        assert sol.objective == pytest.approx(4.0, abs=1e-9)
-
-    def test_infeasible_detected(self):
-        p = LpProblem(
-            c=[1.0],
-            a_eq=[[1.0]],
-            b_eq=[5.0],
-            lower=[0.0],
-            upper=[1.0],
-        )
-        with pytest.raises(InfeasibleError):
-            solve_lp(p)
-
-    def test_unbounded_detected(self):
-        p = LpProblem(c=[-1.0], lower=[0.0], upper=[np.inf])
-        with pytest.raises(RuntimeError):
-            solve_lp(p)
-
-    def test_redundant_equality_rows_handled(self):
-        # a duplicated equality leaves an artificial basic at zero; the
-        # solver must drive it out or drop the row without corrupting x
-        p = LpProblem(
-            c=[1.0, 2.0],
-            a_eq=[[1.0, 1.0], [2.0, 2.0]],
-            b_eq=[3.0, 6.0],
-            lower=[0.0, 0.0],
-            upper=[np.inf, np.inf],
-        )
-        sol = solve_lp(p)
-        np.testing.assert_allclose(sol.x, [3.0, 0.0], atol=1e-9)
-        assert sol.objective == pytest.approx(3.0, abs=1e-9)
-
-    def test_random_lps_match_scipy(self):
-        rng = np.random.default_rng(40)
-        for _ in range(15):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(1, 4))
-            p = LpProblem(
-                c=rng.normal(0, 1, n),
-                a_ub=rng.normal(0, 1, (k, n)),
-                b_ub=rng.uniform(0.5, 2.0, k),
-                lower=np.zeros(n),
-                upper=rng.uniform(0.5, 3.0, n),
-            )
-            mine = solve_lp(p)
-            ref = scipy_lp_optimum(p)
-            assert mine.objective == pytest.approx(ref, rel=1e-8, abs=1e-8)
-            assert mine.duality_gap <= 1e-8
 
 
 class TestExhaustive:
@@ -235,3 +169,59 @@ def test_admm_objective_equals_lp_on_random_weights():
     state = admm_solve(values, r_min, w=w, eps_rel=1e-6, eps_abs=1e-9)
     obj, _, _ = solve_epigraph_lp(values, r_min, w)
     assert state.objective == pytest.approx(obj, rel=1e-3)
+
+
+def test_alpha_lp_certified_on_demo_city():
+    # repetition 46 of the demo-05 rate sweep at seed 15, 180 Mb/s: a
+    # 5 x 24 activation LP that an earlier LP solver could not certify,
+    # which stopped the whole sweep
+    r_min = 1.8e8
+    chan = ChannelParams.from_frequency(
+        2.4e9, bandwidth=20e6, tx_power=0.1, noise_power=noise_power_from_dbm(-96), min_rate=r_min
+    )
+    params = ScenarioParams(
+        slf_dims=(17, 17, 4), building_height=60.0, flight_dims=(4, 3, 2), num_users=5
+    )
+    scenario = build_urban(params, chan)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=15, spawn_key=(46,)))
+    users = sample_users(scenario, 5, rng)
+    cm = build_capacity_matrix(scenario.channel, users, scenario.flight_points, scenario.slf)
+    assert cm.values.shape == (5, 24)
+    n_star, _ = exhaustive_min_abs(cm, r_min)
+    assert n_star == 2
+    _, selected = solve_alpha_lp(cm, r_min)
+    assert covers(cm.values, selected, r_min)
+    assert len(selected) >= n_star
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda v: solve_placement(v, 1.0),
+        lambda v: admm_solve(v, 1.0),
+        lambda v: greedy_cover_from_scores(v, 1.0, np.ones(v.shape[1]), []),
+        lambda v: exhaustive_min_abs(v, 1.0),
+        lambda v: solve_alpha_lp(v, 1.0),
+        lambda v: solve_epigraph_lp(v, 1.0),
+    ],
+    ids=["solve_placement", "admm_solve", "greedy", "exhaustive", "alpha_lp", "epigraph_lp"],
+)
+def test_no_users_is_a_value_error(solve):
+    with pytest.raises(ValueError, match="no users"):
+        solve(np.zeros((0, 3)))
+
+
+def test_import_defers_scipy_optimize():
+    # scipy.optimize is loaded by the LP references on first use only, so
+    # `import absplace` stays as cheap as the rest of the package
+    src = str(Path(absplace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, absplace; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
