@@ -11,7 +11,7 @@ from .channel import (
     prune_zero_columns,
     write_capacity_csv,
 )
-from .config import RunConfig, default_config, load_config
+from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, EmptyProblemError, GuardError, InfeasibleError
 from .geometry import Box3, Point3, RegularGrid3, Segment3, containing_voxel, grid_point
 from .placement import (

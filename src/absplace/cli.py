@@ -170,7 +170,7 @@ def cmd_place(config_path, overrides, out):
 def cmd_experiment(config_path, overrides, out):
     """Run the configured sweep; write per-run and aggregated CSVs."""
     cfg = load_config(config_path, overrides)
-    result = run_experiment(cfg.experiment_spec())
+    result = run_experiment(cfg.experiment)
     out_dir = _out_dir(cfg, out)
     write_runs_csv(result, out_dir / "runs.csv", record_timing=cfg.output.record_timing)
     write_summary_csv(result, out_dir / "summary.csv")

@@ -1,11 +1,15 @@
 """Run configuration: one YAML document drives every CLI command.
 
-Sections: channel, scenario, solver, experiment, output. Every key is
-validated (types, ranges, unknown keys) before any work starts. Exactly one
-of ``wavelength_m`` / ``frequency_hz`` may be given (the other is derived
-with c = 2.998e8 m/s); likewise for ``noise_power_w`` / ``noise_power_dbm``.
-Command-line overrides (``-O section.key=value``) are applied to the raw
-document before validation, so flag > file > default.
+Sections: channel, scenario, solver, experiment, output. The scenario,
+solver, experiment and output sections are read straight into the library's
+dataclasses (``ScenarioParams``, ``PlacementConfig``, ``ExperimentSpec``,
+``OutputConfig``): a key left out takes the dataclass's own default, and a
+value the dataclass rejects is reported as ``<section>: <reason>``. Every
+key is type-checked and unknown keys are rejected before any work starts.
+Exactly one of ``wavelength_m`` / ``frequency_hz`` may be given (the other
+is derived with c = 2.998e8 m/s); likewise for ``noise_power_w`` /
+``noise_power_dbm``. Command-line overrides (``-O section.key=value``) are
+applied to the raw document before validation, so flag > file > default.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from .channel import SPEED_OF_LIGHT, ChannelParams, noise_power_from_dbm
 from .errors import ConfigError
 from .geometry import Box3, Point3
 from .placement import PlacementConfig
-from .scenario import SOLVER_NAMES, ExperimentSpec, ScenarioParams
+from .scenario import ExperimentSpec, ScenarioParams
 
-__all__ = ["OutputConfig", "ExperimentSettings", "RunConfig", "load_config", "default_config"]
+__all__ = ["OutputConfig", "RunConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -31,33 +35,39 @@ class OutputConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentSettings:
-    sweep: str = "min_rate"
-    values: tuple[float, ...] = (2e6, 5e6)
-    repetitions: int = 3
-    seed: int = 0
-    solvers: tuple[str, ...] = ("admm",)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     channel: ChannelParams
     scenario: ScenarioParams
     solver: PlacementConfig
-    experiment: ExperimentSettings
+    experiment: ExperimentSpec
     output: OutputConfig
 
-    def experiment_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            sweep=self.experiment.sweep,
-            values=self.experiment.values,
-            repetitions=self.experiment.repetitions,
-            seed=self.experiment.seed,
-            scenario=self.scenario,
-            channel=self.channel,
-            solvers=self.experiment.solvers,
-            placement=self.solver,
-        )
+
+def _read(kind, value):
+    """One YAML value as ``kind``: a bool never passes for a number, nor a
+    number for a bool or a string, and an int key takes whole numbers only."""
+    if kind in (bool, str) and not isinstance(value, kind):
+        raise TypeError
+    if kind in (int, float) and isinstance(value, bool):
+        raise TypeError
+    if kind is int and int(value) != value:
+        raise TypeError
+    return kind(value)
+
+
+def _tuple(kind, length=None):
+    def parse(value):
+        seq = tuple(_read(kind, v) for v in value)
+        if length is not None and len(seq) != length:
+            raise ValueError
+        return seq
+
+    return parse
+
+
+def _boxes(value):
+    corners = [_tuple(float, 6)(row) for row in value]
+    return tuple(Box3(Point3(*c[:3]), Point3(*c[3:])) for c in corners)
 
 
 class _Section:
@@ -69,27 +79,13 @@ class _Section:
         self.name = name
         self.raw = dict(raw)
 
-    def take(self, key, kind, default):
+    def take(self, key, kind, default=None):
         if key not in self.raw:
             return default
         value = self.raw.pop(key)
         try:
-            if kind is bool:
-                if not isinstance(value, bool):
-                    raise TypeError
-                return value
-            if kind is int:
-                if isinstance(value, bool) or int(value) != value:
-                    raise TypeError
-                return int(value)
-            if kind is float:
-                return float(value)
-            if kind is str:
-                if not isinstance(value, str):
-                    raise TypeError
-                return value
-            return kind(value)
-        except (TypeError, ValueError):
+            return _read(kind, value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{self.name}.{key}: cannot read {value!r}") from None
 
     def has(self, key) -> bool:
@@ -99,39 +95,51 @@ class _Section:
         if self.raw:
             raise ConfigError(f"unknown keys in section {self.name!r}: {sorted(self.raw)}")
 
+    def build(self, cls, keys, **fixed):
+        """``cls`` from ``fixed`` and the keys present in this section.
 
-def _pair(kind):
-    def parse(value):
-        seq = tuple(kind(v) for v in value)
-        if len(seq) != 2:
-            raise ValueError
-        return seq
-
-    return parse
-
-
-def _triple(kind):
-    def parse(value):
-        seq = tuple(kind(v) for v in value)
-        if len(seq) != 3:
-            raise ValueError
-        return seq
-
-    return parse
+        ``keys`` maps each YAML key to ``(field, kind)``. A key present
+        overrides ``fixed``; a field given by neither takes the class's own
+        default. A ``ValueError`` from ``cls`` becomes a ``ConfigError``.
+        """
+        parsed = {field: self.take(key, kind) for key, (field, kind) in keys.items() if self.has(key)}
+        self.finish()
+        try:
+            return cls(**{**fixed, **parsed})
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
 
 
-def _boxes(value):
-    out = []
-    for row in value:
-        vals = [float(v) for v in row]
-        if len(vals) != 6:
-            raise ValueError
-        out.append(Box3(Point3(*vals[:3]), Point3(*vals[3:])))
-    return tuple(out)
+def _same_name(**kinds):
+    return {key: (key, kind) for key, kind in kinds.items()}
 
 
-def _parse_channel(raw: dict) -> ChannelParams:
-    sec = _Section("channel", raw)
+_SCENARIO_KEYS = {
+    "area_m": ("area", _tuple(float, 2)),
+    "streets_per_axis": ("streets_per_axis", _tuple(int, 2)),
+    "building_height_m": ("building_height", float),
+    "absorption_db_per_m": ("absorption_db_per_m", float),
+    "flight_band_m": ("flight_band", _tuple(float, 2)),
+    "slf_dims": ("slf_dims", _tuple(int, 3)),
+    "slf_top_m": ("slf_top", float),
+    "flight_dims": ("flight_dims", _tuple(int, 3)),
+    "no_fly_boxes": ("no_fly", _boxes),
+    "num_users": ("num_users", int),
+    "gt_height_m": ("gt_height", float),
+}
+_SOLVER_KEYS = _same_name(
+    rho=float, eps_abs=float, eps_rel=float, max_iter=int,
+    reweight_rounds=int, reweight_eps=float, select_threshold=float,
+)
+_EXPERIMENT_KEYS = _same_name(
+    sweep=str, values=_tuple(float), repetitions=int, seed=int, solvers=_tuple(str)
+)
+# ExperimentSpec leaves these four to its caller; the run defaults are here.
+_EXPERIMENT_DEFAULTS = dict(sweep="min_rate", values=(2e6, 5e6), repetitions=3, seed=0)
+_OUTPUT_KEYS = _same_name(dir=str, record_timing=bool, write_trace=bool)
+
+
+def _parse_channel(sec: _Section) -> ChannelParams:
     has_wl = sec.has("wavelength_m")
     has_fr = sec.has("frequency_hz")
     if has_wl and has_fr:
@@ -158,79 +166,6 @@ def _parse_channel(raw: dict) -> ChannelParams:
         return ChannelParams(wavelength, bandwidth, tx_power, noise, min_rate)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from None
-
-
-def _parse_scenario(raw: dict) -> ScenarioParams:
-    sec = _Section("scenario", raw)
-    kwargs = dict(
-        area=sec.take("area_m", _pair(float), (500.0, 400.0)),
-        streets_per_axis=sec.take("streets_per_axis", _pair(int), (9, 9)),
-        building_height=sec.take("building_height_m", float, 40.0),
-        absorption_db_per_m=sec.take("absorption_db_per_m", float, 3.0),
-        flight_band=sec.take("flight_band_m", _pair(float), (50.0, 150.0)),
-        slf_dims=sec.take("slf_dims", _triple(int), (12, 10, 6)),
-        slf_top=sec.take("slf_top_m", float, 160.0),
-        flight_dims=sec.take("flight_dims", _triple(int), (5, 5, 3)),
-        no_fly=sec.take("no_fly_boxes", _boxes, ()),
-        num_users=sec.take("num_users", int, 5),
-        gt_height=sec.take("gt_height_m", float, 0.0),
-    )
-    sec.finish()
-    try:
-        return ScenarioParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-
-def _parse_solver(raw: dict) -> PlacementConfig:
-    sec = _Section("solver", raw)
-    kwargs = dict(
-        rho=sec.take("rho", float, 1.0),
-        eps_abs=sec.take("eps_abs", float, 1e-6),
-        eps_rel=sec.take("eps_rel", float, 1e-4),
-        max_iter=sec.take("max_iter", int, 10000),
-        reweight_rounds=sec.take("reweight_rounds", int, 4),
-        reweight_eps=sec.take("reweight_eps", float, 1e-3),
-        select_threshold=sec.take("select_threshold", float, 1e-3),
-    )
-    sec.finish()
-    try:
-        return PlacementConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
-
-
-def _parse_experiment(raw: dict) -> ExperimentSettings:
-    sec = _Section("experiment", raw)
-    settings = ExperimentSettings(
-        sweep=sec.take("sweep", str, "min_rate"),
-        values=sec.take("values", lambda v: tuple(float(x) for x in v), (2e6, 5e6)),
-        repetitions=sec.take("repetitions", int, 3),
-        seed=sec.take("seed", int, 0),
-        solvers=sec.take("solvers", lambda v: tuple(str(s) for s in v), ("admm",)),
-    )
-    sec.finish()
-    if settings.sweep not in ("num_users", "building_height", "min_rate"):
-        raise ConfigError(f"experiment.sweep: unknown variable {settings.sweep!r}")
-    if not settings.values:
-        raise ConfigError("experiment.values must be nonempty")
-    if settings.repetitions < 1:
-        raise ConfigError("experiment.repetitions must be >= 1")
-    unknown = set(settings.solvers) - set(SOLVER_NAMES)
-    if unknown:
-        raise ConfigError(f"experiment.solvers: unknown {sorted(unknown)}")
-    return settings
-
-
-def _parse_output(raw: dict) -> OutputConfig:
-    sec = _Section("output", raw)
-    out = OutputConfig(
-        dir=sec.take("dir", str, "out"),
-        record_timing=sec.take("record_timing", bool, False),
-        write_trace=sec.take("write_trace", bool, False),
-    )
-    sec.finish()
-    return out
 
 
 _SECTIONS = ("channel", "scenario", "solver", "experiment", "output")
@@ -275,14 +210,16 @@ def load_config(path=None, overrides=()) -> RunConfig:
     unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level sections: {sorted(unknown)}")
-    return RunConfig(
-        channel=_parse_channel(doc.get("channel", {})),
-        scenario=_parse_scenario(doc.get("scenario", {})),
-        solver=_parse_solver(doc.get("solver", {})),
-        experiment=_parse_experiment(doc.get("experiment", {})),
-        output=_parse_output(doc.get("output", {})),
+
+    def section(name):
+        return _Section(name, doc.get(name, {}))
+
+    channel = _parse_channel(section("channel"))
+    scenario = section("scenario").build(ScenarioParams, _SCENARIO_KEYS)
+    solver = section("solver").build(PlacementConfig, _SOLVER_KEYS)
+    experiment = section("experiment").build(
+        ExperimentSpec, _EXPERIMENT_KEYS, **_EXPERIMENT_DEFAULTS,
+        scenario=scenario, channel=channel, placement=solver,
     )
-
-
-def default_config() -> RunConfig:
-    return load_config(None)
+    output = section("output").build(OutputConfig, _OUTPUT_KEYS)
+    return RunConfig(channel, scenario, solver, experiment, output)

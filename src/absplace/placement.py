@@ -97,6 +97,8 @@ class PlacementConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.reweight_rounds < 1:
             raise ValueError("at least one solve round is required")
+        if self.reweight_eps <= 0:
+            raise ValueError(f"reweight_eps must be positive, got {self.reweight_eps}")
 
 
 @dataclass(frozen=True)
@@ -313,11 +315,11 @@ def _check_rows_coverable(values: np.ndarray, r_min: float) -> _Coverage:
 def admm_solve(
     C,
     r_min: float,
-    rho: float = 1.0,
+    rho: float = PlacementConfig.rho,
     w=None,
-    max_iter: int = 10000,
-    eps_abs: float = 1e-6,
-    eps_rel: float = 1e-4,
+    max_iter: int = PlacementConfig.max_iter,
+    eps_abs: float = PlacementConfig.eps_abs,
+    eps_rel: float = PlacementConfig.eps_rel,
     z0=None,
     u0=None,
 ) -> AdmmState:
@@ -392,7 +394,7 @@ def admm_solve(
     )
 
 
-def reweight(R: np.ndarray, r_min: float, eps: float = 1e-3) -> np.ndarray:
+def reweight(R: np.ndarray, r_min: float, eps: float = PlacementConfig.reweight_eps) -> np.ndarray:
     """Next sparsity weights: w_g = 1 / (eps + ||R[:, g]||_inf / r_min).
 
     Column magnitudes are normalized by the target rate so eps is

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import GuardError, InfeasibleError
-from .placement import _check_rows_coverable, greedy_cover_from_scores
+from .placement import PlacementConfig, _check_rows_coverable, greedy_cover_from_scores
 
 __all__ = ["exhaustive_min_abs", "solve_epigraph_lp", "solve_alpha_lp"]
 
@@ -140,7 +140,13 @@ def solve_epigraph_lp(C, r_min: float, w=None):
     return objective * r_min, x[:n_r].reshape(m, g), x[n_r:]
 
 
-def solve_alpha_lp(C, r_min: float, rounds: int = 4, eps: float = 1e-3, tau: float = 1e-3):
+def solve_alpha_lp(
+    C,
+    r_min: float,
+    rounds: int = PlacementConfig.reweight_rounds,
+    eps: float = PlacementConfig.reweight_eps,
+    tau: float = PlacementConfig.select_threshold,
+):
     """Reweighted column-activation LP relaxation.
 
     Solves min w @ alpha over alpha in [0, 1]^G with C alpha >= r_min,

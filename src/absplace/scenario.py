@@ -75,6 +75,13 @@ class ScenarioParams:
             raise ValueError("users must sit inside the loss-field domain")
         if self.num_users < 1:
             raise ValueError("need at least one user")
+        if not all(a > 0 for a in self.area):
+            raise ValueError(f"area sides must be positive, got {self.area}")
+        if min(self.slf_dims) < 1 or min(self.flight_dims) < 1:
+            raise ValueError(
+                f"grid dims must be positive, got slf_dims {self.slf_dims}"
+                f" and flight_dims {self.flight_dims}"
+            )
 
 
 @dataclass(frozen=True)
@@ -211,6 +218,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown solvers {sorted(unknown)}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
+        if self.sweep == "num_users" and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"num_users sweep values must be whole numbers, got {self.values}")
+        for value in self.values:  # each sweep point must pass the scenario/channel checks
+            _sweep_applied(self, value)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+from absplace import PlacementConfig, ScenarioParams, load_config
 from absplace.cli import main
+from absplace.config import OutputConfig
 
 SMALL = [
     "-O", "scenario.slf_dims=[10,8,4]",
@@ -178,6 +182,38 @@ class TestConfigHandling:
             res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
             assert res.exit_code == 1
             assert key in res.output
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # values the library dataclasses reject, reported with their section
+            (["experiment.solvers=[]"], "experiment: at least one solver"),
+            (["scenario.slf_dims=[0,10,6]"], "scenario: grid dims"),
+            (["scenario.flight_dims=[5,0,3]"], "scenario: grid dims"),
+            (["scenario.area_m=[-500,400]"], "scenario: area"),
+            (["solver.reweight_eps=0"], "solver: reweight_eps"),
+            (["experiment.sweep=num_users", "experiment.values=[2.7]"], "experiment: num_users"),
+            (["experiment.values=[-1.0]"], "experiment: min_rate"),
+            # values that cannot be read as the key's type
+            (["solver.rho=true"], "solver.rho: cannot read True"),
+            (["scenario.area_m=[true,400]"], "scenario.area_m: cannot read"),
+            (["solver.max_iter=.inf"], "solver.max_iter: cannot read"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, overrides, message):
+        args = [arg for item in overrides for arg in ("-O", item)]
+        res = run_cli(["place", *SMALL, *args, "-o", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert res.output.startswith(f"config error: {message}")
+
+    def test_readme_documents_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        defaults = load_config(None)
+        assert load_config(write_config(tmp_path, block)) == defaults
+        assert defaults.solver == PlacementConfig()
+        assert defaults.scenario == ScenarioParams()
+        assert defaults.output == OutputConfig()
 
     def test_zero_max_iter_is_config_error(self):
         res = run_cli(["place", *SMALL, "-O", "solver.max_iter=0"])

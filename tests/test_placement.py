@@ -454,6 +454,8 @@ def test_config_validation():
         PlacementConfig(rho=0.0)
     with pytest.raises(ValueError):
         PlacementConfig(max_iter=0)
+    with pytest.raises(ValueError, match="reweight_eps"):
+        PlacementConfig(reweight_eps=0.0)
     values, r_min = random_feasible_instance(np.random.default_rng(33))
     with pytest.raises(ValueError, match="max_iter"):
         admm_solve(values, r_min, max_iter=0)

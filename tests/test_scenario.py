@@ -98,6 +98,11 @@ class TestBuildUrban:
             ScenarioParams(slf_top=100.0, flight_band=(50.0, 150.0))
         with pytest.raises(ValueError):
             ScenarioParams(streets_per_axis=(1, 9))
+        with pytest.raises(ValueError, match="area"):
+            ScenarioParams(area=(-500.0, 400.0))
+        for dims in (dict(slf_dims=(0, 10, 6)), dict(flight_dims=(5, 0, 3))):
+            with pytest.raises(ValueError, match="dims"):
+                ScenarioParams(**dims)
 
 
 class TestSampleUsers:
@@ -297,3 +302,8 @@ class TestRunExperiment:
             self.spec(values=())
         with pytest.raises(ValueError):
             self.spec(solvers=("admm", "magic"))
+        with pytest.raises(ValueError, match="whole numbers"):
+            self.spec(sweep="num_users", values=(2.0, 2.7))
+        for sweep, value in (("num_users", 0.0), ("building_height", -5.0), ("min_rate", -1.0)):
+            with pytest.raises(ValueError):
+                self.spec(sweep=sweep, values=(value,))
