@@ -211,6 +211,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep variable {self.sweep!r}")
         if not self.values:
             raise ValueError("sweep values must be nonempty")
+        # the summary groups records by float(value), so a repeat would be
+        # counted once per copy
+        if len({float(v) for v in self.values}) < len(self.values):
+            raise ValueError(f"sweep values must be distinct, got {self.values}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         unknown = set(self.solvers) - set(SOLVER_NAMES)

@@ -131,6 +131,29 @@ def merge_crossing_count(grid, a, b) -> int:
     return int((np.diff(bounds) > 0).sum())
 
 
+def dense_ridge_fit(grid, measurements, ridge: float) -> np.ndarray:
+    """Flattened ridge least-squares field from a dense design matrix.
+
+    Column i of the design matrix is the merge-traversal integral of the
+    i-th unit field along every link (the integral is linear in the field).
+    With ridge > 0 the normal equations (A^T A + ridge I) x = A^T y are
+    solved directly; with ridge = 0 the answer is pinv(A) @ y, the
+    minimum-norm least-squares solution.
+    """
+    n = grid.num_points
+    a = np.zeros((len(measurements), n))
+    for i in range(n):
+        unit = np.zeros(n)
+        unit[i] = 1.0
+        unit = unit.reshape(grid.dims)
+        for j, m in enumerate(measurements):
+            a[j, i] = merge_traversal_integral(unit, grid, m.tx.as_tuple(), m.rx.as_tuple())
+    y = np.array([m.shadow_db for m in measurements])
+    if ridge == 0:
+        return np.linalg.pinv(a) @ y
+    return np.linalg.solve(a.T @ a + ridge * np.eye(n), a.T @ y)
+
+
 def x_step_root_exact(a: np.ndarray, target: float) -> float:
     """Exact root of F(s) = sum(max(a - s, 0)) = target by breakpoint sort."""
     a = np.sort(np.asarray(a, dtype=float))[::-1]

@@ -198,6 +198,8 @@ class TestConfigHandling:
             (["solver.rho=true"], "solver.rho: cannot read True"),
             (["scenario.area_m=[true,400]"], "scenario.area_m: cannot read"),
             (["solver.max_iter=.inf"], "solver.max_iter: cannot read"),
+            # repeated sweep points, which the summary would count once per copy
+            (["experiment.values=[2.0e6,2.0e6]"], "experiment: sweep values must be distinct"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):

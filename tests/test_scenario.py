@@ -304,6 +304,10 @@ class TestRunExperiment:
             self.spec(solvers=("admm", "magic"))
         with pytest.raises(ValueError, match="whole numbers"):
             self.spec(sweep="num_users", values=(2.0, 2.7))
+        # repeated points (equal as floats) would be summarised once per copy
+        for sweep, values in (("min_rate", (2e6, 2e6)), ("num_users", (3, 4, 3.0))):
+            with pytest.raises(ValueError, match="distinct"):
+                self.spec(sweep=sweep, values=values)
         for sweep, value in (("num_users", 0.0), ("building_height", -5.0), ("min_rate", -1.0)):
             with pytest.raises(ValueError):
                 self.spec(sweep=sweep, values=(value,))

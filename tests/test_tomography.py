@@ -473,6 +473,68 @@ class TestEstimation:
         raw = estimate_slf(meas, grid, ridge=0.0, clip_negative=False)
         assert raw.values.min() < 0.0
 
+    @staticmethod
+    def low_links(rng, grid, n):
+        """Random links in the two lower z layers; the top layer stays uncrossed."""
+        lo, hi = grid.domain_bounds()
+        hi = np.array([hi[0], hi[1], 1.4])
+        pts = rng.uniform(lo + 1e-6, hi - 1e-6, (n, 2, 3))
+        return [Measurement(Point3(*a), Point3(*b), float(rng.normal(1.0, 2.0))) for a, b in pts]
+
+    @pytest.mark.parametrize("ridge", [1e-6, 1e-2])
+    def test_ridge_matches_dense_normal_equations(self, ridge):
+        rng = np.random.default_rng(31)
+        grid = unit_grid((4, 4, 3))
+        meas = self.low_links(rng, grid, 120)
+        fit = estimate_slf(meas, grid, ridge=ridge, clip_negative=False).values.ravel()
+        ref = oracles.dense_ridge_fit(grid, meas, ridge)
+        assert np.linalg.norm(fit - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert np.isfinite(fit).all()
+        assert np.all(fit.reshape(grid.dims)[:, :, 2] == 0.0)
+
+    def test_rank_deficient_gives_minimum_norm_solution(self):
+        # links parallel to x or y along voxel centres of the two lower layers,
+        # with random ends: more links than the rank, so the observations are
+        # inconsistent, and uneven column norms, so a column-scaled solve
+        # would converge to another least-squares solution
+        rng = np.random.default_rng(0)
+        grid = unit_grid((4, 4, 3))
+        meas = []
+        for _ in range(24):
+            lo, hi = np.sort(rng.uniform(-0.5, 3.5, 2))
+            c, z = float(rng.integers(4)), float(rng.integers(2))
+            a, b = ([lo, c, z], [hi, c, z]) if rng.integers(2) else ([c, lo, z], [c, hi, z])
+            meas.append(Measurement(Point3(*a), Point3(*b), float(rng.normal())))
+        fit = estimate_slf(meas, grid, ridge=0.0, clip_negative=False).values.ravel()
+        ref = oracles.dense_ridge_fit(grid, meas, 0.0)
+        np.testing.assert_allclose(fit, ref, rtol=0, atol=1e-10)
+        assert np.isfinite(fit).all()
+        assert np.all(fit.reshape(grid.dims)[:, :, 2] == 0.0)
+
+    def test_iteration_count(self, monkeypatch):
+        # the column-scaled solve takes 122 iterations here, the unscaled
+        # one 712
+        iterations = []
+        original = tomography.lsmr
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            iterations.append(result[2])
+            return result
+
+        monkeypatch.setattr(tomography, "lsmr", counted)
+        rng = np.random.default_rng(12)
+        grid = unit_grid((12, 12, 6))
+        truth = SlfField(grid, rng.uniform(0.2, 2.5, grid.dims))
+        n = 3000
+        starts = np.column_stack([rng.uniform(-0.5, 11.5, (n, 2)), np.full(n, -0.5)])
+        ends = np.column_stack([rng.uniform(-0.5, 11.5, (n, 2)), rng.uniform(1.0, 5.5, n)])
+        y = line_integrals(truth, starts, ends)
+        meas = [Measurement(Point3(*a), Point3(*b), v) for a, b, v in zip(starts, ends, y)]
+        estimate_slf(meas, grid)
+        assert len(iterations) == 1
+        assert iterations[0] <= 400
+
 
 class TestSerialization:
     def test_slf_text_round_trip(self, tmp_path):
