@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -84,9 +85,19 @@ def _out_dir(cfg: RunConfig, out: str | None) -> Path:
     return path
 
 
+class _StderrHandler(logging.Handler):
+    """Library log records as ``warning: <message>`` lines on the current stderr."""
+
+    def emit(self, record):
+        click.echo(f"{record.levelname.lower()}: {record.getMessage()}", err=True)
+
+
 @click.group()
 def main():
     """Radio-map evaluation and aerial base-station placement."""
+    logger = logging.getLogger("absplace")
+    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        logger.addHandler(_StderrHandler(logging.WARNING))
 
 
 @main.command("map")

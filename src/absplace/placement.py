@@ -34,21 +34,27 @@ breakpoints {b - c, b} of the row and interpolates inside the segment where
 the function crosses r_min (Condat 2016).
 
 The dual update is U <- U + R - Z. Convergence uses the standard scaled
-primal/dual residual rule. Solutions are extracted by thresholding column
-sup-norms, then repaired (greedy add by decreasing column norm) and pruned
-(greedy drop, weakest column first) against the actual capacities so the
-returned set is always feasible and contains no redundant station.
-Coverage is exact: a user is covered iff math.fsum of its selected
-capacities reaches r_min. Greedy keeps the selected set's float row totals
-as an M-vector, so each visited column costs one O(M) add or subtract; a
-row's verdict comes from its float total when that lies outside a rigorous
-rounding band around r_min, and from math.fsum over the members otherwise
-(``_Coverage``, shared with ``covers`` and the infeasibility guards).
+primal/dual residual rule. rho is the initial step: for the first 1,000
+iterations residual balancing adapts it (every 10 iterations it doubles
+when the primal residual is over 10 times the dual one and halves in the
+reverse case, rescaling U to match), and it is frozen after that. The
+returned rho and U are at the final step. Solutions are extracted by
+thresholding column sup-norms, then repaired (greedy add by decreasing
+column norm) and pruned (greedy drop, weakest column first) against the
+actual capacities so the returned set is always feasible and contains no
+redundant station. Coverage is exact: a user is covered iff math.fsum of
+its selected capacities reaches r_min. Greedy keeps the selected set's
+float row totals as an M-vector, so each visited column costs one O(M) add
+or subtract; a row's verdict comes from its float total when that lies
+outside a rigorous rounding band around r_min, and from math.fsum over the
+members otherwise (``_Coverage``, shared with ``covers`` and the
+infeasibility guards).
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 
@@ -72,13 +78,27 @@ __all__ = [
     "write_trace_csv",
 ]
 
+_log = logging.getLogger("absplace")
+
+# Residual balancing (Boyd et al. 2011, sec. 3.4.1; He, Yang & Wang 2000):
+# every _BALANCE_EVERY iterations up to iteration _BALANCE_UNTIL, rho doubles
+# when the primal residual exceeds _BALANCE_RATIO times the dual one and
+# halves in the reverse case. Frozen afterwards, so the fixed-rho
+# convergence guarantee holds for the rest of the run.
+_BALANCE_EVERY = 10
+_BALANCE_UNTIL = 1000
+_BALANCE_RATIO = 10.0
+
 
 @dataclass(frozen=True)
 class PlacementConfig:
     """Solver settings; scale-dependent tolerances are relative to the target rate.
 
     ``max_iter`` bounds the ADMM iterations of each of the
-    ``reweight_rounds`` solves. Stations are selected from the column
+    ``reweight_rounds`` solves. ``rho`` is the initial ADMM step of the
+    first round; residual balancing adapts it over the first 1,000
+    iterations of each round, and every later round starts at the step
+    the previous one ended at. Stations are selected from the column
     sup-norms of the final rate matrix R.
     """
 
@@ -108,7 +128,9 @@ class AdmmState:
     R, Z, U are M x G in original rate units; trace columns are
     (iteration, primal residual, dual residual, objective).
     row_sum_max_dev is the worst row-sum violation of Z seen at any
-    iteration, in rate units.
+    iteration, in rate units. rho is the final step, after residual
+    balancing, and the scaled dual U is at that step, so (Z, U, rho)
+    warm-starts a further solve.
     """
 
     R: np.ndarray
@@ -149,57 +171,91 @@ class PlacementResult:
         return len(self.selected)
 
 
-def _x_step(A, w, rho):
-    """All X-step columns of A = Z - U at once; returns (R, s)."""
-    # Sorted descending, the k largest entries of a column are the active
-    # set for s in [a_(k+1), a_(k)], where F(s) = csum_k - k s. The root
-    # uses the last k whose candidate s_k = (csum_k - target) / k still lies
-    # below a_(k) (simplex-projection threshold, Duchi et al. 2008).
-    m = A.shape[0]
-    targets = w / rho
-    desc = -np.sort(-A, axis=0)
-    cand = (np.cumsum(desc, axis=0) - targets[None, :]) / np.arange(1, m + 1)[:, None]
-    active = desc > cand  # a prefix in exact arithmetic
-    active[0] = True  # s_1 = a_(1) - target, which is below a_(1) for any positive target
-    k = m - 1 - np.argmax(active[::-1], axis=0)
-    s = cand[k, np.arange(A.shape[1])]
-    R = np.minimum(A, s[None, :])
-    zero_w = w == 0.0
-    if zero_w.any():
-        # Without a slack cost the inequality is inactive: prox is the identity.
-        R[:, zero_w] = A[:, zero_w]
-        s = np.where(zero_w, A.max(axis=0), s)
-    return R, s
+class _XStep:
+    """All X-step columns of A = Z - U at once for weights w; call returns (R, s).
 
-
-def _z_step(B, C, r_min):
-    """All Z-step rows of B = R + U at once; assumes every row can reach r_min.
-
-    A row that reaches r_min only in exact arithmetic (its float sum(C)
-    falls short by rounding) gets z = c.
+    The per-problem invariants (rank divisors, column indices, zero-weight
+    mask) are built once; the slack targets w / rho only when rho changes.
     """
-    # G(lam) is sum(C) left of every breakpoint and 0 right of them; between
-    # consecutive sorted breakpoints its slope is minus the number n_open of
-    # entries with b - c < lam < b (each b - c opens such an entry, each b
-    # closes it). Scanning the slopes gives G at every breakpoint; the root
-    # is interpolated inside the first segment that ends at or below r_min.
-    m, g = B.shape
-    rows = np.arange(m)
-    points = np.concatenate([B - C, B], axis=1)
-    order = np.argsort(points, axis=1, kind="stable")
-    points = points[rows[:, None], order]
-    n_open = np.cumsum(np.where(order < g, 1, -1), axis=1)
-    gv = np.empty_like(points)
-    gv[:, 0] = C.sum(axis=1)
-    gv[:, 1:] = gv[:, :1] - np.cumsum(n_open[:, :-1] * (points[:, 1:] - points[:, :-1]), axis=1)
-    gv[:, -1] = 0.0  # exact: every entry is clipped to zero at the last breakpoint
-    j = np.argmax(gv <= r_min, axis=1)
-    # gv[j-1] > r_min >= gv[j]: lam lies in the segment ending at j, where
-    # n_open is positive. j == 0 only when sum(C) <= r_min; lam is then at
-    # or below the first breakpoint, where z = c.
-    i = np.maximum(j - 1, 0)
-    lam = points[rows, i] + (gv[rows, i] - r_min) / np.maximum(n_open[rows, i], 1)
-    return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
+
+    def __init__(self, w: np.ndarray, m: int, rho: float):
+        self.w = w
+        self.ranks = np.arange(1, m + 1)[:, None]
+        self.cols = np.arange(w.size)
+        zero_w = w == 0.0
+        self.zero_w = zero_w if zero_w.any() else None
+        self.set_rho(rho)
+
+    def set_rho(self, rho: float) -> None:
+        self.targets = self.w / rho
+
+    def __call__(self, A):
+        # Sorted descending, the k largest entries of a column are the active
+        # set for s in [a_(k+1), a_(k)], where F(s) = csum_k - k s. The root
+        # uses the last k whose candidate s_k = (csum_k - target) / k still
+        # lies below a_(k) (simplex-projection threshold, Duchi et al. 2008).
+        m = A.shape[0]
+        desc = np.sort(A, axis=0)[::-1]
+        cand = (desc.cumsum(axis=0) - self.targets) / self.ranks
+        active = desc > cand  # a prefix in exact arithmetic
+        active[0] = True  # s_1 = a_(1) - target, which is below a_(1) for any positive target
+        k = m - 1 - active[::-1].argmax(axis=0)
+        s = cand[k, self.cols]
+        R = np.minimum(A, s)
+        zero_w = self.zero_w
+        if zero_w is not None:
+            # Without a slack cost the inequality is inactive: prox is the identity.
+            R[:, zero_w] = A[:, zero_w]
+            s = np.where(zero_w, A.max(axis=0), s)
+        return R, s
+
+
+class _ZStep:
+    """All Z-step rows of B = R + U at once for capacities C and target r_min.
+
+    Assumes every row can reach r_min; a row that reaches it only in exact
+    arithmetic (its float sum(C) falls short by rounding) gets z = c. The
+    per-problem invariants (row indices, row totals of C, the +1/-1 sign of
+    each breakpoint) are built once.
+    """
+
+    def __init__(self, C: np.ndarray, r_min: float):
+        m, g = C.shape
+        self.C = C
+        self.r_min = r_min
+        self.rows = np.arange(m)
+        self.row_index = self.rows[:, None]
+        self.total = C.sum(axis=1)
+        self.sign = np.repeat(np.array([1, -1]), g)  # b - c opens an entry, b closes it
+
+    def __call__(self, B):
+        # G(lam) is sum(C) left of every breakpoint and 0 right of them;
+        # between consecutive sorted breakpoints its slope is minus the number
+        # n_open of entries with b - c < lam < b. Scanning the slopes gives G
+        # at every breakpoint; the root is interpolated inside the first
+        # segment that ends at or below r_min.
+        C, r_min, rows = self.C, self.r_min, self.rows
+        points = np.concatenate([B - C, B], axis=1)
+        order = points.argsort(axis=1, kind="stable")
+        points = points[self.row_index, order]
+        n_open = self.sign[order].cumsum(axis=1)
+        gv = np.empty_like(points)
+        gv[:, 0] = self.total
+        gv[:, 1:] = gv[:, :1] - (n_open[:, :-1] * (points[:, 1:] - points[:, :-1])).cumsum(axis=1)
+        gv[:, -1] = 0.0  # exact: every entry is clipped to zero at the last breakpoint
+        j = (gv <= r_min).argmax(axis=1)
+        # gv[j-1] > r_min >= gv[j]: lam lies in the segment ending at j, where
+        # n_open is positive. j == 0 only when sum(C) <= r_min; lam is then at
+        # or below the first breakpoint, where z = c.
+        i = np.maximum(j - 1, 0)
+        lam = points[rows, i] + (gv[rows, i] - r_min) / np.maximum(n_open[rows, i], 1)
+        return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm, as np.linalg.norm computes it, without its wrappers."""
+    a = a.ravel()
+    return math.sqrt(a @ a)
 
 
 def x_step_column(z_col, u_col, w_g: float, rho: float):
@@ -216,7 +272,7 @@ def x_step_column(z_col, u_col, w_g: float, rho: float):
         raise ValueError(f"weight must be nonnegative, got {w_g}")
     z = np.asarray(z_col, dtype=float).reshape(-1, 1)
     u = np.asarray(u_col, dtype=float).reshape(-1, 1)
-    R, s = _x_step(z - u, np.array([float(w_g)]), rho)
+    R, s = _XStep(np.array([float(w_g)]), z.shape[0], rho)(z - u)
     return R[:, 0], float(s[0])
 
 
@@ -231,7 +287,7 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
     u = np.asarray(u_row, dtype=float).reshape(1, -1)
     c = np.asarray(c_row, dtype=float).reshape(1, -1)
     _check_rows_coverable(c, r_min)
-    return _z_step(r + u, c, float(r_min))[0]
+    return _ZStep(c, float(r_min))(r + u)[0]
 
 
 def _capacity_values(C) -> np.ndarray:
@@ -330,10 +386,19 @@ def admm_solve(
     target rate. Stops when both the primal residual ||R - Z||_F and the
     dual residual rho * ||Z_k+1 - Z_k||_F fall below
     eps_abs * sqrt(M G) + eps_rel * max(||R||_F, ||Z||_F), or after
-    ``max_iter`` iterations, which must be at least 1.
+    ``max_iter`` iterations, which must be at least 1; stopping there
+    logs one warning on the ``absplace`` logger.
 
-    ``z0`` / ``u0`` warm-start the iteration (original rate units);
-    otherwise Z starts at min(C, r_min / G) and U at zero.
+    ``rho`` is the initial step. Every 10 iterations up to iteration 1,000,
+    residual balancing doubles it (and halves the scaled U) when the
+    primal residual exceeds 10 times the dual one, and does the reverse
+    when the dual residual exceeds 10 times the primal one; after that rho
+    is fixed, which keeps the fixed-step convergence guarantee. The
+    returned ``rho`` and ``U`` are at the final step.
+
+    ``z0`` / ``u0`` warm-start the iteration (original rate units, U scaled
+    by the ``rho`` passed in); otherwise Z starts at min(C, r_min / G) and
+    U at zero.
 
     Columns are reordered internally into a canonical (lexicographic)
     order before iterating and mapped back on return, so the result does
@@ -358,6 +423,8 @@ def admm_solve(
     cn = values / r_min
     Z = np.minimum(cn, 1.0 / g) if z0 is None else np.asarray(z0, dtype=float)[:, order] / r_min
     U = np.zeros((m, g)) if u0 is None else np.asarray(u0, dtype=float)[:, order] / r_min
+    x_step = _XStep(w, m, rho)
+    z_step = _ZStep(cn, 1.0)
     sq_mg = math.sqrt(m * g)
     trace = []
     row_dev = 0.0
@@ -365,19 +432,38 @@ def admm_solve(
     iterations = 0
     for k in range(1, max_iter + 1):
         iterations = k
-        R, _ = _x_step(Z - U, w, rho)
-        z_new = _z_step(R + U, cn, 1.0)
+        R, _ = x_step(Z - U)
+        z_new = z_step(R + U)
         U = U + R - z_new
-        primal = float(np.linalg.norm(R - z_new))
-        dual = rho * float(np.linalg.norm(z_new - Z))
+        primal = _norm(R - z_new)
+        dual = rho * _norm(z_new - Z)
         Z = z_new
         row_dev = max(row_dev, float(np.abs(Z.sum(axis=1) - 1.0).max()))
         objective = float(w @ np.abs(R).max(axis=0))
         trace.append((k, primal, dual, objective))
-        tol = eps_abs * sq_mg + eps_rel * max(np.linalg.norm(R), np.linalg.norm(Z))
+        tol = eps_abs * sq_mg + eps_rel * max(_norm(R), _norm(Z))
         if primal <= tol and dual <= tol:
             converged = True
             break
+        if k % _BALANCE_EVERY or k > _BALANCE_UNTIL:
+            continue
+        # Residual balancing; U is scaled by 1 / rho, so it moves inversely.
+        if primal > _BALANCE_RATIO * dual:
+            factor = 2.0
+        elif dual > _BALANCE_RATIO * primal:
+            factor = 0.5
+        else:
+            continue
+        rho *= factor
+        U = U / factor
+        x_step.set_rho(rho)
+
+    if not converged:
+        _log.warning(
+            "admm_solve stopped at max_iter = %d without converging: "
+            "primal %.3g, dual %.3g (rate units), rho %g",
+            iterations, primal * r_min, dual * r_min, rho,
+        )
 
     trace_arr = np.array(trace)
     trace_arr[:, 1:] *= r_min  # residuals and objective back to rate units
@@ -486,6 +572,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
     _check_rows_coverable(values, r_min)
     g = values.shape[1]
     w = np.ones(g)
+    rho = config.rho
     z0 = u0 = None
     traces = []
     offset = 0
@@ -496,7 +583,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
         state = admm_solve(
             values,
             r_min,
-            rho=config.rho,
+            rho=rho,
             w=w,
             max_iter=config.max_iter,
             eps_abs=config.eps_abs,
@@ -510,7 +597,8 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
         offset += state.iterations
         total_iterations += state.iterations
         all_converged = all_converged and state.converged
-        z0, u0 = state.Z, state.U
+        # U is scaled by the final rho, so the next round resumes at that step.
+        rho, z0, u0 = state.rho, state.Z, state.U
         w = reweight(state.R, r_min, config.reweight_eps)
         # Rescaling all weights leaves the argmin unchanged but keeps the
         # slack costs commensurate with rho, which conditions the iteration.

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,13 @@ class TestPlace:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,primal,dual,objective"
         assert len(trace) > 1
+
+
+    def test_non_convergence_warns_on_stderr(self, tmp_path):
+        res = run_cli(["place", *SMALL, "-O", "solver.max_iter=1", "-o", str(tmp_path / "out")])
+        assert res.exit_code == 0
+        assert "warning: admm_solve stopped at max_iter = 1 without converging" in res.stderr
+        assert "warning" not in res.stdout
 
 
 class TestExperiment:
@@ -255,3 +265,15 @@ class TestConfigHandling:
         )
         res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
         assert res.exit_code == 1
+
+
+def test_python_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    res = subprocess.run(
+        [sys.executable, "-m", "absplace", "--help"], env=env, capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    for command in ("map", "place", "experiment", "oracle"):
+        assert command in res.stdout

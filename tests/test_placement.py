@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     fsum_covers,
     greedy_cover_reference,
     random_feasible_instance,
+    scipy_epigraph_optimum,
     x_step_root_exact,
     z_step_root_exact,
 )
@@ -119,9 +121,9 @@ class TestExactNumpySteps:
 
     @staticmethod
     def check_x_columns(A, w, rho):
-        from absplace.placement import _x_step
+        from absplace.placement import _XStep
 
-        R, s = _x_step(A, w, rho)
+        R, s = _XStep(w, A.shape[0], rho)(A)
         for g in range(A.shape[1]):
             a = A[:, g]
             expect = x_step_root_exact(a, w[g] / rho) if w[g] > 0 else a.max()
@@ -132,9 +134,9 @@ class TestExactNumpySteps:
 
     @staticmethod
     def check_z_rows(B, C, r_min):
-        from absplace.placement import _z_step
+        from absplace.placement import _ZStep
 
-        Z = _z_step(B, C, r_min)
+        Z = _ZStep(C, r_min)(B)
         for m in range(B.shape[0]):
             lam = z_step_root_exact(B[m], C[m], r_min)
             expect = np.maximum(0.0, np.minimum(C[m], B[m] - lam))
@@ -184,10 +186,10 @@ class TestExactNumpySteps:
         C = np.array([[0.25, 0.5, 0.0, 0.25], [1.5, 0.5, 1.0, 1.0]])
         B = np.array([[3.0, -1.0, 0.2, 0.25], [0.0, 0.0, 0.0, 0.0]])
         assert np.all(C.sum(axis=1) == [1.0, 4.0])
-        from absplace.placement import _z_step
+        from absplace.placement import _ZStep
 
-        np.testing.assert_array_equal(_z_step(B[:1], C[:1], 1.0), C[:1])
-        np.testing.assert_array_equal(_z_step(B[1:], C[1:], 4.0), C[1:])
+        np.testing.assert_array_equal(_ZStep(C[:1], 1.0)(B[:1]), C[:1])
+        np.testing.assert_array_equal(_ZStep(C[1:], 4.0)(B[1:]), C[1:])
         self.check_z_rows(B[:1], C[:1], 1.0)
         self.check_z_rows(B[1:], C[1:], 4.0)
 
@@ -469,3 +471,84 @@ def test_warm_start_resumes_at_optimum():
     assert resumed.converged
     assert resumed.iterations <= max(3, first.iterations // 5)
     np.testing.assert_allclose(resumed.Z, first.Z, rtol=0, atol=1e-6 * r_min)
+
+
+CRITERION_06_TOLERANCES = dict(eps_rel=1e-6, eps_abs=1e-9)
+
+
+def criterion_06_instance(trial):
+    """Instance ``trial`` of the criterion-06 family, drawn as that criterion draws it."""
+    rng = np.random.default_rng(1006)
+    for t in range(trial + 1):
+        values, r_min = random_feasible_instance(rng, m_max=5, g_max=12)
+        w = np.ones(values.shape[1]) if t % 2 else rng.uniform(0.1, 2.0, values.shape[1])
+    return values, r_min, w
+
+
+class TestResidualBalancing:
+    def test_slow_family_instance(self):
+        # 30,362 iterations at a fixed rho = 1; balancing moves rho to 2048
+        values, r_min, w = criterion_06_instance(49)
+        st = admm_solve(values, r_min, w=w, max_iter=6000, **CRITERION_06_TOLERANCES)
+        assert st.converged
+        assert st.iterations <= 6000
+        assert st.row_sum_max_dev <= 1e-6 * r_min
+        lp = scipy_epigraph_optimum(values, r_min, w)
+        assert st.objective == pytest.approx(lp, rel=1e-3, abs=1e-9 * r_min)
+
+    def test_warm_start_at_final_rho(self):
+        values, r_min, w = criterion_06_instance(49)
+        first = admm_solve(values, r_min, rho=1.0, w=w, **CRITERION_06_TOLERANCES)
+        assert first.converged
+        assert first.rho != 1.0
+        resumed = admm_solve(
+            values, r_min, rho=first.rho, w=w, z0=first.Z, u0=first.U, **CRITERION_06_TOLERANCES
+        )
+        assert resumed.converged
+        assert resumed.iterations <= 2
+
+    def test_fixed_rho_matches_plain_loop_bitwise(self):
+        # Balancing first acts at iteration 10, so nine iterations are the
+        # plain splitting; columns in canonical order and r_min = 1 make the
+        # solver's internal reordering and rescaling the identity.
+        values, _ = random_feasible_instance(np.random.default_rng(41), m_max=5, g_max=12, scale_choices=(1.0,))
+        values = values[:, np.lexsort(values)]
+        m, g = values.shape
+        w = np.random.default_rng(42).uniform(0.1, 2.0, g)
+        rho = 0.7
+        st = admm_solve(values, 1.0, rho=rho, w=w, max_iter=9, eps_abs=0.0, eps_rel=0.0)
+        assert st.iterations == 9 and not st.converged
+
+        Z = np.minimum(values, 1.0 / g)
+        U = np.zeros((m, g))
+        trace = []
+        for k in range(1, 10):
+            R = np.column_stack([x_step_column(Z[:, j], U[:, j], w[j], rho)[0] for j in range(g)])
+            z_new = np.vstack([z_step_row(R[i], U[i], values[i], 1.0) for i in range(m)])
+            U = U + R - z_new
+            primal = float(np.linalg.norm(R - z_new))
+            dual = rho * float(np.linalg.norm(z_new - Z))
+            Z = z_new
+            trace.append((k, primal, dual, float(w @ np.abs(R).max(axis=0))))
+        for got, want in ((st.R, R), (st.Z, Z), (st.U, U), (st.trace, np.array(trace))):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert st.rho == rho
+
+
+class TestNonConvergenceWarning:
+    def test_one_warning_when_stopped_at_max_iter(self, caplog):
+        values, r_min, w = criterion_06_instance(49)
+        with caplog.at_level(logging.WARNING, logger="absplace"):
+            st = admm_solve(values, r_min, w=w, max_iter=1, **CRITERION_06_TOLERANCES)
+        assert not st.converged
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "max_iter = 1" in message and "rho 1" in message
+
+    def test_no_warning_when_converged(self, caplog):
+        values, r_min, w = criterion_06_instance(49)
+        with caplog.at_level(logging.WARNING, logger="absplace"):
+            st = admm_solve(values, r_min, w=w, **CRITERION_06_TOLERANCES)
+        assert st.converged
+        assert caplog.records == []
