@@ -31,7 +31,9 @@ per column or row: the X-step takes the last active prefix of the
 descending column and its cumulative sum, as in simplex projection (Duchi
 et al. 2008); the Z-step scans the cumulative slope over the 2G sorted
 breakpoints {b - c, b} of the row and interpolates inside the segment where
-the function crosses r_min (Condat 2016).
+the function crosses r_min (Condat 2016). That sort need not be stable:
+tied breakpoints bound zero-width segments, so the order of ties changes no
+bit of the result.
 
 The dual update is U <- U + R - Z. Convergence uses the standard scaled
 primal/dual residual rule. rho is the initial step: for the first 1,000
@@ -49,6 +51,12 @@ or subtract; a row's verdict comes from its float total when that lies
 outside a rigorous rounding band around r_min, and from math.fsum over the
 members otherwise (``_Coverage``, shared with ``covers`` and the
 infeasibility guards).
+
+``solve_placement`` prepares its instance once (``_Instance``): the entry
+guard, the canonical column order that every solve and greedy's tie-break
+use, the scaled capacities and their Z-step. Its ADMM rounds and the greedy
+repair/prune all share it, so a placement runs one lexicographic sort, not
+one per round.
 """
 
 from __future__ import annotations
@@ -214,9 +222,11 @@ class _ZStep:
     """All Z-step rows of B = R + U at once for capacities C and target r_min.
 
     Assumes every row can reach r_min; a row that reaches it only in exact
-    arithmetic (its float sum(C) falls short by rounding) gets z = c. The
-    per-problem invariants (row indices, row totals of C, the +1/-1 sign of
-    each breakpoint) are built once.
+    arithmetic (its float sum(C) falls short by rounding) gets lam at or
+    below its first breakpoint, hence z = c wherever b - lam keeps every
+    digit of c. The per-problem invariants (row indices, row totals of C,
+    the +1/-1 sign of each breakpoint) are built once, and
+    solve_placement's ``_Instance`` shares one _ZStep among all its rounds.
     """
 
     def __init__(self, C: np.ndarray, r_min: float):
@@ -234,9 +244,15 @@ class _ZStep:
         # n_open of entries with b - c < lam < b. Scanning the slopes gives G
         # at every breakpoint; the root is interpolated inside the first
         # segment that ends at or below r_min.
+        #
+        # The sort need not be stable. Tied breakpoints bound zero-width
+        # segments, whose terms n_open * 0 add exactly nothing, so gv at
+        # every position, and hence j, is the same for any order of the ties.
+        # i = j - 1 is then the last of its tie group, where n_open counts the
+        # whole group whatever its order; for j == 0, max(n_open, 1) is 1.
         C, r_min, rows = self.C, self.r_min, self.rows
         points = np.concatenate([B - C, B], axis=1)
-        order = points.argsort(axis=1, kind="stable")
+        order = points.argsort(axis=1)
         points = points[self.row_index, order]
         n_open = self.sign[order].cumsum(axis=1)
         gv = np.empty_like(points)
@@ -368,6 +384,33 @@ def _check_rows_coverable(values: np.ndarray, r_min: float) -> _Coverage:
     return rule
 
 
+def _canonical_order(values: np.ndarray):
+    """(order, rank): the lexicographic column order, stable on duplicates,
+    and its inverse, the canonical rank of every column."""
+    order = np.lexsort(values)
+    rank = np.empty(order.size, dtype=int)
+    rank[order] = np.arange(order.size)
+    return order, rank
+
+
+class _Instance:
+    """One placement instance, prepared once for all of its solves.
+
+    Holds what every ``admm_solve`` round and ``greedy_cover_from_scores``
+    would otherwise rebuild from the matrix: the entry guard's coverage
+    rule, the canonical column order and its inverse (greedy's tie-break
+    rank), the capacities in that order scaled to r_min = 1, and their
+    Z-step. Building it runs the entry guard.
+    """
+
+    def __init__(self, values: np.ndarray, r_min: float):
+        self.values = values
+        self.rule = _check_rows_coverable(values, r_min)
+        self.order, self.rank = _canonical_order(values)
+        self.cn = values[:, self.order] / r_min
+        self.z_step = _ZStep(self.cn, 1.0)
+
+
 def admm_solve(
     C,
     r_min: float,
@@ -405,26 +448,25 @@ def admm_solve(
     not depend on how the candidates happened to be enumerated (float
     reductions are order-sensitive at machine precision, and the
     extraction threshold could otherwise flip on reordered input).
+    ``solve_placement`` computes that order, the guard and the scaled
+    capacities once per placement and passes its prepared instance in
+    place of the matrix.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    values = _capacity_values(C)
-    m, g = values.shape
-    _check_rows_coverable(values, r_min)
+    inst = C if isinstance(C, _Instance) else _Instance(_capacity_values(C), r_min)
+    m, g = inst.values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
     if w.shape != (g,) or np.any(w < 0):
         raise ValueError("w must be a nonnegative G-vector")
 
-    order = np.lexsort(values)  # canonical column order; stable on duplicates
-    invert = np.argsort(order, kind="stable")
-    values = values[:, order]
+    order, invert = inst.order, inst.rank
     w = w[order]
-
-    cn = values / r_min
+    cn = inst.cn
     Z = np.minimum(cn, 1.0 / g) if z0 is None else np.asarray(z0, dtype=float)[:, order] / r_min
     U = np.zeros((m, g)) if u0 is None else np.asarray(u0, dtype=float)[:, order] / r_min
     x_step = _XStep(w, m, rho)
-    z_step = _ZStep(cn, 1.0)
+    z_step = inst.z_step
     sq_mg = math.sqrt(m * g)
     trace = []
     row_dev = 0.0
@@ -524,12 +566,16 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     column costs one O(M) add or subtract and a comparison against the
     rounding band of ``covers``; only rows inside the band are re-summed
     exactly over the members. Every verdict equals that of ``covers``.
+    ``solve_placement`` passes its prepared instance in place of the
+    matrix, so the rule and the ranks come from the placement's set-up.
     """
-    rule = _coverage_rule(values, r_min)
+    if isinstance(values, _Instance):
+        values, rule, rank = values.values, values.rule, values.rank
+    else:
+        rule = _coverage_rule(values, r_min)
+        rank = _canonical_order(values)[1]
     scores = np.asarray(scores, dtype=float)
     n = values.shape[1]
-    rank = np.empty(n, dtype=int)
-    rank[np.lexsort(values)] = np.arange(n)
     selected = sorted(set(int(g) for g in selected))
     members = np.zeros(n, dtype=bool)
     members[selected] = True
@@ -569,7 +615,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
     so the returned placement is always feasible with no redundant station.
     """
     values = _capacity_values(C)
-    _check_rows_coverable(values, r_min)
+    inst = _Instance(values, r_min)  # the guard, canonical order and Z-step, once
     g = values.shape[1]
     w = np.ones(g)
     rho = config.rho
@@ -581,7 +627,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
     state = None
     for _ in range(config.reweight_rounds):
         state = admm_solve(
-            values,
+            inst,
             r_min,
             rho=rho,
             w=w,
@@ -606,7 +652,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
 
     scores = np.abs(state.R).max(axis=0)
     initial = np.flatnonzero(scores > config.select_threshold * r_min)
-    selected = greedy_cover_from_scores(values, r_min, scores, initial)
+    selected = greedy_cover_from_scores(inst, r_min, scores, initial)
     rates = values[:, selected].sum(axis=1) if selected else np.zeros(values.shape[0])
     positions = tuple(C.candidates[g] for g in selected) if isinstance(C, CapacityMatrix) else ()
     return PlacementResult(

@@ -222,7 +222,10 @@ def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     next index leaves the grid. Negative parameters clip to 0 and
     zero-length intervals are dropped; when the grid exit is such a
     zero-length step, the last interval is stretched to t = 1 as the
-    marcher does.
+    marcher does. With stride the flat-index step of each axis, interval m
+    lies in voxel start @ stride plus the steps inc[j] * stride[j] of the
+    crossings before it: one exclusive cumulative sum over the merged
+    crossings, where the stop for links that move on no axis steps by 0.
     """
     n = len(a)
     origin = np.array(grid.origin.as_tuple())
@@ -276,11 +279,9 @@ def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
         t[rows[zero_exit], last] = 1.0
     lengths = np.where(keep, t - lo, 0.0)
 
-    flat = np.zeros(raw.shape, dtype=np.int64)
-    for j in range(3):
-        on_axis = axis == j
-        before = np.cumsum(on_axis, axis=1) - on_axis
-        flat = flat * dims[j] + start[:, j, None] + inc[:, j, None] * before
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    step = np.take_along_axis(np.column_stack([inc * stride, np.zeros(n, dtype=np.int64)]), axis, axis=1)
+    flat = (start @ stride)[:, None] + step.cumsum(axis=1) - step
     return keep, lengths, np.where(keep, flat, 0)
 
 

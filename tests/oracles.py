@@ -4,7 +4,11 @@ Everything here deliberately avoids the code paths under test: the dense
 sampler brute-forces the line integral by rectangle rule, the merge
 traversal enumerates boundary crossings per axis and sorts them (no
 marching state), the breakpoint solvers find the piecewise-linear roots
-exactly by sorting, and the LP cross-check goes through scipy.
+exactly by sorting, and the LP cross-check goes through scipy. The
+stable-sort Z-step and the public-call placement are the exception: they
+repeat the library's arithmetic on the path it replaced (a stable
+breakpoint sort; a fresh set-up in every call), so that the fast path must
+match them bit for bit.
 
 The dense sampler counts its samples in runs: the voxel index of sample k
 is monotone in k along each axis, so a block of consecutive samples whose
@@ -288,3 +292,60 @@ def greedy_cover_reference(values: np.ndarray, r_min: float, scores, selected) -
         if fsum_covers(values, trial, r_min):
             selected = trial
     return sorted(selected)
+
+
+def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.ndarray:
+    """All Z-step rows of B by the breakpoint scan with a stable sort.
+
+    The same float operations as the library's Z-step, in the same order,
+    but tied breakpoints keep their input order (every b - c before every
+    b, columns left to right). Since only the order of ties differs, the
+    library must agree bit for bit.
+    """
+    m, g = C.shape
+    rows = np.arange(m)
+    points = np.concatenate([B - C, B], axis=1)
+    order = points.argsort(axis=1, kind="stable")
+    points = points[rows[:, None], order]
+    n_open = np.repeat(np.array([1, -1]), g)[order].cumsum(axis=1)
+    gv = np.empty_like(points)
+    gv[:, 0] = C.sum(axis=1)
+    gv[:, 1:] = gv[:, :1] - (n_open[:, :-1] * (points[:, 1:] - points[:, :-1])).cumsum(axis=1)
+    gv[:, -1] = 0.0
+    j = (gv <= r_min).argmax(axis=1)
+    i = np.maximum(j - 1, 0)
+    lam = points[rows, i] + (gv[rows, i] - r_min) / np.maximum(n_open[rows, i], 1)
+    return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
+
+
+def solve_placement_reference(values: np.ndarray, r_min: float, config):
+    """Reweighted placement composed from public calls only.
+
+    ``admm_solve`` rounds warm-started from the previous round's (Z, U,
+    rho), ``reweight`` scaled to a largest weight of 1, the column
+    sup-norm threshold, then ``greedy_cover_from_scores``. Every call
+    prepares the matrix afresh. Returns (selected, objective trace,
+    iterations, converged).
+    """
+    from absplace.placement import admm_solve, greedy_cover_from_scores, reweight
+
+    w = np.ones(values.shape[1])
+    rho, z0, u0 = config.rho, None, None
+    traces, offset, converged = [], 0, True
+    for _ in range(config.reweight_rounds):
+        state = admm_solve(
+            values, r_min, rho=rho, w=w, max_iter=config.max_iter,
+            eps_abs=config.eps_abs, eps_rel=config.eps_rel, z0=z0, u0=u0,
+        )
+        trace = state.trace.copy()
+        trace[:, 0] += offset
+        traces.append(trace)
+        offset += state.iterations
+        converged = converged and state.converged
+        rho, z0, u0 = state.rho, state.Z, state.U
+        w = reweight(state.R, r_min, config.reweight_eps)
+        w /= w.max()
+    scores = np.abs(state.R).max(axis=0)
+    initial = np.flatnonzero(scores > config.select_threshold * r_min)
+    selected = greedy_cover_from_scores(values, r_min, scores, initial)
+    return tuple(selected), np.vstack(traces), offset, converged

@@ -27,8 +27,10 @@ from oracles import (
     greedy_cover_reference,
     random_feasible_instance,
     scipy_epigraph_optimum,
+    solve_placement_reference,
     x_step_root_exact,
     z_step_root_exact,
+    z_step_stable_reference,
 )
 
 
@@ -194,6 +196,76 @@ class TestExactNumpySteps:
         self.check_z_rows(B[1:], C[1:], 4.0)
 
 
+class TestZStepTieInvariance:
+    """The Z-step sorts its breakpoints without stability; on rows full of
+    tied breakpoints it must still equal the stable-sort scan bit for bit."""
+
+    @staticmethod
+    def check(B, C, r_min):
+        from absplace.placement import _ZStep
+
+        got = _ZStep(C, r_min)(B)
+        want = z_step_stable_reference(B, C, r_min)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @staticmethod
+    def dyadic_rows(rng, m, g, zeros=False):
+        """Capacities and points on a coarse dyadic grid, so that many
+        breakpoints tie exactly; r_min on the same grid, within reach."""
+        C = rng.choice([0.0, 0.25, 0.5, 1.0] if zeros else [0.25, 0.5, 1.0], (m, g))
+        C[:, 0] = 1.0  # every row reaches r_min
+        B = rng.choice([-0.5, 0.0, 0.25, 0.5, 0.75, 1.0], (m, g))
+        r_min = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+        return B, C, r_min
+
+    def test_duplicate_columns(self):
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            B, C, r_min = self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 12)))
+            dup = rng.integers(0, C.shape[1], int(rng.integers(1, 3 * C.shape[1])))
+            self.check(np.concatenate([B, B[:, dup]], axis=1), np.concatenate([C, C[:, dup]], axis=1), r_min)
+
+    def test_zero_capacity_entries(self):
+        # b - 0 == b: an entry opens and closes at the same breakpoint
+        rng = np.random.default_rng(51)
+        for _ in range(100):
+            self.check(*self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 40)), zeros=True))
+
+    def test_close_of_one_column_ties_open_of_another(self):
+        # b_g - c_g == b_h: column h closes where column g opens
+        rng = np.random.default_rng(52)
+        for _ in range(100):
+            B, C, r_min = self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(4, 40)))
+            g = C.shape[1]
+            src = rng.integers(0, g, g // 2)
+            dst = rng.integers(0, g, g // 2)
+            B[:, dst] = B[:, src] - C[:, src]
+            self.check(B, C, r_min)
+
+    def test_ties_at_the_last_breakpoint(self):
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            B, C, r_min = self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 40)))
+            top = rng.random(C.shape[1]) < 0.5
+            B[:, top] = B.max(axis=1, keepdims=True)
+            self.check(B, C, r_min)
+
+    def test_row_short_of_target_only_by_rounding(self):
+        from absplace.placement import _ZStep
+
+        C = np.array([TINY_ROW])
+        r_min = math.fsum(TINY_ROW)
+        assert C.sum() < r_min
+        # lam falls at or below the first breakpoint, so z = c where b - lam
+        # keeps every digit of c
+        for B in (np.zeros_like(C), C.copy(), np.concatenate([[1.0], C[0, 1:]])[None, :]):
+            self.check(B, C, r_min)
+            np.testing.assert_array_equal(_ZStep(C, r_min)(B), C)
+        rng = np.random.default_rng(54)
+        for _ in range(20):
+            self.check(rng.choice([0.0, 2.0**-53, 0.5, 1.0], C.shape), C, r_min)
+
+
 @given(
     st.integers(2, 6),
     st.integers(1, 400),
@@ -346,6 +418,43 @@ class TestSolvePlacement:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,primal,dual,objective"
         assert len(lines) == result.objective_trace.shape[0] + 1
+
+
+class TestPreparedInstance:
+    """solve_placement prepares its instance once; the result must equal the
+    same composition of public calls that each prepare it afresh."""
+
+    @staticmethod
+    def check(C, r_min, config):
+        got = solve_placement(C, r_min, config)
+        values = getattr(C, "values", C)
+        selected, trace, iterations, converged = solve_placement_reference(values, r_min, config)
+        assert got.selected == selected
+        np.testing.assert_array_equal(got.objective_trace.view(np.uint64), trace.view(np.uint64))
+        assert got.iterations == iterations
+        assert got.converged == converged
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PlacementConfig(),
+            PlacementConfig(reweight_rounds=1),
+            PlacementConfig(reweight_rounds=6, max_iter=7),
+            PlacementConfig(reweight_rounds=6, rho=0.3, select_threshold=0.2),
+        ],
+        ids=["default", "one_round", "six_rounds_max_iter_7", "six_rounds_rho_threshold"],
+    )
+    def test_matches_public_composition(self, config):
+        rng = np.random.default_rng(55)
+        for _ in range(25):
+            values, r_min = random_feasible_instance(rng, m_max=6, g_max=12)
+            dup = rng.integers(0, values.shape[1], int(rng.integers(0, values.shape[1] + 1)))
+            values = np.concatenate([values, values[:, dup]], axis=1)
+            if rng.random() < 0.5:
+                values = np.round(values / r_min * 4.0) / 4.0 * r_min  # tied entries and scores
+                values[:, 0] += r_min  # keeps every row coverable
+            self.check(values, r_min, config)
+            self.check(as_matrix(values), r_min, config)
 
 
 # One row whose float sums lose the ten tiny entries that its exact sum keeps:
