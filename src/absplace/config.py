@@ -128,8 +128,7 @@ _SCENARIO_KEYS = {
     "gt_height_m": ("gt_height", float),
 }
 _SOLVER_KEYS = _same_name(
-    rho=float, eps_abs=float, eps_rel=float, max_iter=int,
-    reweight_rounds=int, reweight_eps=float, select_threshold=float,
+    rho=float, eps_abs=float, eps_rel=float, max_iter=int, reweight_rounds=int, reweight_eps=float
 )
 _EXPERIMENT_KEYS = _same_name(
     sweep=str, values=_tuple(float), repetitions=int, seed=int, solvers=_tuple(str)

@@ -40,22 +40,22 @@ primal/dual residual rule. rho is the initial step: for the first 1,000
 iterations residual balancing adapts it (every 10 iterations it doubles
 when the primal residual is over 10 times the dual one and halves in the
 reverse case, rescaling U to match), and it is frozen after that. The
-returned rho and U are at the final step. Solutions are extracted by
-thresholding column sup-norms, then repaired (greedy add by decreasing
-column norm) and pruned (greedy drop, weakest column first) against the
-actual capacities so the returned set is always feasible and contains no
-redundant station. Coverage is exact: a user is covered iff math.fsum of
-its selected capacities reaches r_min. Greedy keeps the selected set's
-float row totals as an M-vector, so each visited column costs one O(M) add
-or subtract; a row's verdict comes from its float total when that lies
-outside a rigorous rounding band around r_min, and from math.fsum over the
-members otherwise (``_Coverage``, shared with ``covers`` and the
-infeasibility guards).
+returned rho and U are at the final step. Stations are rounded greedily
+from the column sup-norms of the final R: added from the empty set by
+decreasing sup-norm until the set covers, then dropped in the reverse
+order wherever coverage survives, so the returned set is always feasible
+and contains no redundant station. Coverage is exact: a user is covered
+iff math.fsum of its selected capacities reaches r_min. Greedy keeps the
+selected set's float row totals as an M-vector, so each visited column
+costs one O(M) add or subtract; a row's verdict comes from its float total
+when that lies outside a rigorous rounding band around r_min, and from
+math.fsum over the members otherwise (``_Coverage``, shared with
+``covers`` and the infeasibility guards).
 
 ``solve_placement`` prepares its instance once (``_Instance``): the entry
 guard, the canonical column order that every solve and greedy's tie-break
 use, the scaled capacities and their Z-step. Its ADMM rounds and the greedy
-repair/prune all share it, so a placement runs one lexicographic sort, not
+rounding all share it, so a placement runs one lexicographic sort, not
 one per round.
 """
 
@@ -106,8 +106,8 @@ class PlacementConfig:
     ``reweight_rounds`` solves. ``rho`` is the initial ADMM step of the
     first round; residual balancing adapts it over the first 1,000
     iterations of each round, and every later round starts at the step
-    the previous one ended at. Stations are selected from the column
-    sup-norms of the final rate matrix R.
+    the previous one ended at. Stations are chosen greedily from the
+    column sup-norms of the final rate matrix R.
     """
 
     rho: float = 1.0
@@ -116,7 +116,6 @@ class PlacementConfig:
     max_iter: int = 10000
     reweight_rounds: int = 4
     reweight_eps: float = 1e-3
-    select_threshold: float = 1e-3
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -360,8 +359,14 @@ class _Coverage:
 
 
 def _coverage_rule(values: np.ndarray, r_min: float) -> _Coverage:
-    """The coverage rule of ``values``; EmptyProblemError (a ValueError) when
-    it has no users, since no solver can place stations for nobody."""
+    """The coverage rule of ``values``. Raises ValueError, as CapacityMatrix
+    does, unless they are 2-D, finite and nonnegative (greedy rounding needs
+    coverage to grow with the set), and EmptyProblemError (a ValueError) when
+    there are no users, since no solver can place stations for nobody."""
+    if values.ndim != 2:
+        raise ValueError("capacity matrix must be 2D")
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValueError("capacities must be finite and nonnegative")
     if values.shape[0] == 0:
         raise EmptyProblemError("capacity matrix has no users to cover")
     return _Coverage(values, r_min)
@@ -446,8 +451,8 @@ def admm_solve(
     Columns are reordered internally into a canonical (lexicographic)
     order before iterating and mapped back on return, so the result does
     not depend on how the candidates happened to be enumerated (float
-    reductions are order-sensitive at machine precision, and the
-    extraction threshold could otherwise flip on reordered input).
+    reductions are order-sensitive at machine precision, and greedy's
+    visit order could otherwise change on reordered input).
     ``solve_placement`` computes that order, the guard and the scaled
     capacities once per placement and passes its prepared instance in
     place of the matrix.
@@ -560,7 +565,9 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     the candidates reorders the output set identically. The column index is
     the final fallback, relevant only for byte-identical duplicate columns.
     Assumes the full column set covers; raises EmptyProblemError on a
-    matrix with no users.
+    matrix with no users. Coverage grows with the set, the columns above
+    any score cut are a prefix of the add order and the prune order is its
+    reverse, so starting from them ends where the empty start does.
 
     The set's float row totals are kept as an M-vector, so each visited
     column costs one O(M) add or subtract and a comparison against the
@@ -606,13 +613,13 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
 
 
 def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = PlacementConfig()) -> PlacementResult:
-    """Reweighted ADMM placement: solve, extract, repair, prune.
+    """Reweighted ADMM placement: solve, then round greedily.
 
     Runs ``reweight_rounds`` solves (uniform weights first, then reweighted),
-    each warm-started from the previous round. Candidates whose column
-    sup-norm in the final rate matrix R exceeds ``select_threshold * r_min``
-    are kept, then the set is repaired/pruned against the actual capacities,
-    so the returned placement is always feasible with no redundant station.
+    each warm-started from the previous round. ``greedy_cover_from_scores``
+    then rounds the column sup-norms of the final R from the empty set
+    against the actual capacities, so the returned placement is always
+    feasible with no redundant station.
     """
     values = _capacity_values(C)
     inst = _Instance(values, r_min)  # the guard, canonical order and Z-step, once
@@ -621,8 +628,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
     rho = config.rho
     z0 = u0 = None
     traces = []
-    offset = 0
-    total_iterations = 0
+    iterations = 0  # the trace offset of the next round
     all_converged = True
     state = None
     for _ in range(config.reweight_rounds):
@@ -638,10 +644,9 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
             u0=u0,
         )
         tr = state.trace.copy()
-        tr[:, 0] += offset
+        tr[:, 0] += iterations
         traces.append(tr)
-        offset += state.iterations
-        total_iterations += state.iterations
+        iterations += state.iterations
         all_converged = all_converged and state.converged
         # U is scaled by the final rho, so the next round resumes at that step.
         rho, z0, u0 = state.rho, state.Z, state.U
@@ -651,8 +656,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
         w /= w.max()
 
     scores = np.abs(state.R).max(axis=0)
-    initial = np.flatnonzero(scores > config.select_threshold * r_min)
-    selected = greedy_cover_from_scores(inst, r_min, scores, initial)
+    selected = greedy_cover_from_scores(inst, r_min, scores, ())
     rates = values[:, selected].sum(axis=1) if selected else np.zeros(values.shape[0])
     positions = tuple(C.candidates[g] for g in selected) if isinstance(C, CapacityMatrix) else ()
     return PlacementResult(
@@ -661,7 +665,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
         user_rates=rates,
         feasible=covers(values, selected, r_min),
         objective_trace=np.vstack(traces),
-        iterations=total_iterations,
+        iterations=iterations,
         converged=all_converged,
     )
 

@@ -145,25 +145,27 @@ def solve_alpha_lp(
     r_min: float,
     rounds: int = PlacementConfig.reweight_rounds,
     eps: float = PlacementConfig.reweight_eps,
-    tau: float = PlacementConfig.select_threshold,
 ):
     """Reweighted column-activation LP relaxation.
 
-    Solves min w @ alpha over alpha in [0, 1]^G with C alpha >= r_min,
-    iterating w = 1 / (eps + alpha) from uniform weights, then thresholds
-    alpha > tau and repairs/prunes greedily against the capacities.
-    Returns (alpha, selected tuple). The constraints are divided by r_min:
-    on raw rates (capacities of millions of b/s) HiGHS can stop at a
-    suboptimal vertex, which the certificate's sign check then rejects.
+    Solves min w @ alpha over alpha in [0, 1]^G with min(C, r_min) alpha >=
+    r_min, iterating w = 1 / (eps + alpha) from uniform weights, then rounds
+    alpha greedily from the empty set. Returns (alpha, selected tuple).
+    The clipping is coefficient tightening (Nemhauser & Wolsey 1988): for
+    0/1 alpha it holds iff C alpha >= r_min does, but a fractional alpha can
+    no longer cover a user with a small share of one strong column. The
+    constraints are divided by r_min: on raw rates (capacities of millions
+    of b/s) HiGHS can stop at a suboptimal vertex, which the certificate's
+    sign check then rejects.
     """
     values = np.asarray(getattr(C, "values", C), dtype=float)
     m, g = values.shape
     _check_rows_coverable(values, r_min)
+    a_ub = -np.minimum(values / r_min, 1.0)
     w = np.ones(g)
     alpha = np.zeros(g)
     for _ in range(rounds):
-        alpha, _ = _solve_highs(w, -values / r_min, -np.ones(m), (0.0, 1.0))
+        alpha, _ = _solve_highs(w, a_ub, -np.ones(m), (0.0, 1.0))
         w = 1.0 / (eps + alpha)
-    initial = np.flatnonzero(alpha > tau)
-    selected = greedy_cover_from_scores(values, r_min, alpha, initial)
+    selected = greedy_cover_from_scores(values, r_min, alpha, ())
     return alpha, tuple(selected)

@@ -274,15 +274,7 @@ def _solve_one(name: str, cm: CapacityMatrix, r_min: float, placement: Placement
     if name == "admm":
         return solve_placement(cm, r_min, placement).n_abs
     if name == "alpha_lp":
-        return len(
-            solve_alpha_lp(
-                cm,
-                r_min,
-                rounds=placement.reweight_rounds,
-                eps=placement.reweight_eps,
-                tau=placement.select_threshold,
-            )[1]
-        )
+        return len(solve_alpha_lp(cm, r_min, placement.reweight_rounds, placement.reweight_eps)[1])
     return exhaustive_min_abs(cm, r_min)[0]
 
 

@@ -318,14 +318,16 @@ def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.nd
     return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
 
 
-def solve_placement_reference(values: np.ndarray, r_min: float, config):
+def solve_placement_reference(values: np.ndarray, r_min: float, config, tau: float):
     """Reweighted placement composed from public calls only.
 
     ``admm_solve`` rounds warm-started from the previous round's (Z, U,
-    rho), ``reweight`` scaled to a largest weight of 1, the column
-    sup-norm threshold, then ``greedy_cover_from_scores``. Every call
-    prepares the matrix afresh. Returns (selected, objective trace,
-    iterations, converged).
+    rho), ``reweight`` scaled to a largest weight of 1, then
+    ``greedy_cover_from_scores`` started from the columns whose sup-norm
+    exceeds ``tau * r_min``. Every call prepares the matrix afresh. Returns
+    (selected, objective trace, iterations, converged). Greedy ends at the
+    same set from any such start, so the library, which starts it from the
+    empty set, must agree for every ``tau``.
     """
     from absplace.placement import admm_solve, greedy_cover_from_scores, reweight
 
@@ -346,6 +348,6 @@ def solve_placement_reference(values: np.ndarray, r_min: float, config):
         w = reweight(state.R, r_min, config.reweight_eps)
         w /= w.max()
     scores = np.abs(state.R).max(axis=0)
-    initial = np.flatnonzero(scores > config.select_threshold * r_min)
+    initial = np.flatnonzero(scores > tau * r_min)
     selected = greedy_cover_from_scores(values, r_min, scores, initial)
     return tuple(selected), np.vstack(traces), offset, converged

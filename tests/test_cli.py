@@ -185,9 +185,9 @@ class TestOracle:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
-        # the two solver keys are removed options: configs still setting them must fail
+        # the three solver keys are removed options: configs still setting them must fail
         for section, key in (("channel", "bogus_key"), ("solver", "bisect_max_iter"),
-                             ("solver", "extract_from")):
+                             ("solver", "extract_from"), ("solver", "select_threshold")):
             cfg = write_config(tmp_path, f"{section}:\n  {key}: 1\n")
             res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
             assert res.exit_code == 1

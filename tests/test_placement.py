@@ -421,18 +421,25 @@ class TestSolvePlacement:
 
 
 class TestPreparedInstance:
-    """solve_placement prepares its instance once; the result must equal the
-    same composition of public calls that each prepare it afresh."""
+    """solve_placement prepares its instance once and rounds from the empty
+    set; the result must equal the same composition of public calls that
+    each prepare it afresh, with greedy started from any sup-norm
+    threshold."""
 
-    @staticmethod
-    def check(C, r_min, config):
+    TAUS = (0.0, 1e-3, 0.2, 1e9)
+
+    @classmethod
+    def check(cls, C, r_min, config):
         got = solve_placement(C, r_min, config)
         values = getattr(C, "values", C)
-        selected, trace, iterations, converged = solve_placement_reference(values, r_min, config)
-        assert got.selected == selected
-        np.testing.assert_array_equal(got.objective_trace.view(np.uint64), trace.view(np.uint64))
-        assert got.iterations == iterations
-        assert got.converged == converged
+        for tau in cls.TAUS:
+            selected, trace, iterations, converged = solve_placement_reference(
+                values, r_min, config, tau
+            )
+            assert got.selected == selected, f"tau = {tau}"
+            np.testing.assert_array_equal(got.objective_trace.view(np.uint64), trace.view(np.uint64))
+            assert got.iterations == iterations
+            assert got.converged == converged
 
     @pytest.mark.parametrize(
         "config",
@@ -440,9 +447,9 @@ class TestPreparedInstance:
             PlacementConfig(),
             PlacementConfig(reweight_rounds=1),
             PlacementConfig(reweight_rounds=6, max_iter=7),
-            PlacementConfig(reweight_rounds=6, rho=0.3, select_threshold=0.2),
+            PlacementConfig(reweight_rounds=6, rho=0.3),
         ],
-        ids=["default", "one_round", "six_rounds_max_iter_7", "six_rounds_rho_threshold"],
+        ids=["default", "one_round", "six_rounds_max_iter_7", "six_rounds_rho_0_3"],
     )
     def test_matches_public_composition(self, config):
         rng = np.random.default_rng(55)
@@ -518,6 +525,25 @@ class TestCoverageRule:
             assert greedy_cover_from_scores(values, r_min, scores, initial) == greedy_cover_reference(
                 values, r_min, scores, initial
             )
+
+    def test_any_threshold_start_gives_the_empty_start(self):
+        # With nonnegative capacities coverage is monotone, the columns above
+        # a cut are a prefix of greedy's add order and the prune order is its
+        # reverse, so starting from them ends where the empty start does.
+        rng = np.random.default_rng(39)
+        for trial in range(300):
+            if trial % 2:
+                values, r_min = _near_threshold_instance(rng)
+            else:
+                values, r_min = random_feasible_instance(rng, m_max=6, g_max=14)
+                dup = rng.integers(0, values.shape[1], int(rng.integers(0, values.shape[1] + 1)))
+                values = np.concatenate([values, values[:, dup]], axis=1)
+            g = values.shape[1]
+            scores = np.round(rng.uniform(0.0, 1.0, g) * 3.0) / 3.0  # many exact ties
+            want = greedy_cover_from_scores(values, r_min, scores, ())
+            for tau in (-np.inf, *np.unique(scores)):
+                initial = np.flatnonzero(scores > tau)
+                assert greedy_cover_from_scores(values, r_min, scores, initial) == want
 
     def test_covers_matches_fsum_near_threshold(self):
         rng = np.random.default_rng(38)

@@ -171,11 +171,9 @@ def test_admm_objective_equals_lp_on_random_weights():
     assert state.objective == pytest.approx(obj, rel=1e-3)
 
 
-def test_alpha_lp_certified_on_demo_city():
-    # repetition 46 of the demo-05 rate sweep at seed 15, 180 Mb/s: a
-    # 5 x 24 activation LP that an earlier LP solver could not certify,
-    # which stopped the whole sweep
-    r_min = 1.8e8
+def _demo_city_matrix(seed: int, rep: int, r_min: float):
+    """The capacity matrix of repetition ``rep`` of the demo-05 rate sweep
+    at user seed ``seed`` and target ``r_min``: 5 users x 24 candidates."""
     chan = ChannelParams.from_frequency(
         2.4e9, bandwidth=20e6, tx_power=0.1, noise_power=noise_power_from_dbm(-96), min_rate=r_min
     )
@@ -183,10 +181,19 @@ def test_alpha_lp_certified_on_demo_city():
         slf_dims=(17, 17, 4), building_height=60.0, flight_dims=(4, 3, 2), num_users=5
     )
     scenario = build_urban(params, chan)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=15, spawn_key=(46,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
     users = sample_users(scenario, 5, rng)
     cm = build_capacity_matrix(scenario.channel, users, scenario.flight_points, scenario.slf)
     assert cm.values.shape == (5, 24)
+    return cm
+
+
+def test_alpha_lp_certified_on_demo_city():
+    # repetition 46 of the demo-05 rate sweep at seed 15, 180 Mb/s: a
+    # 5 x 24 activation LP that an earlier LP solver could not certify,
+    # which stopped the whole sweep
+    r_min = 1.8e8
+    cm = _demo_city_matrix(15, 46, r_min)
     n_star, _ = exhaustive_min_abs(cm, r_min)
     assert n_star == 2
     _, selected = solve_alpha_lp(cm, r_min)
@@ -194,7 +201,20 @@ def test_alpha_lp_certified_on_demo_city():
     assert len(selected) >= n_star
 
 
-@pytest.mark.parametrize(
+def test_alpha_lp_clipped_at_target_finds_single_station():
+    # repetition 27 of the demo-05 rate sweep at seed 15, 100 Mb/s: one
+    # station covers every user, but on unclipped capacities the LP spreads
+    # alpha over strong columns at a small share each and greedy rounds
+    # that to two stations
+    r_min = 1e8
+    cm = _demo_city_matrix(15, 27, r_min)
+    assert exhaustive_min_abs(cm, r_min)[0] == 1
+    _, selected = solve_alpha_lp(cm, r_min)
+    assert len(selected) == 1
+    assert covers(cm.values, selected, r_min)
+
+
+ALL_SOLVERS = pytest.mark.parametrize(
     "solve",
     [
         lambda v: solve_placement(v, 1.0),
@@ -206,9 +226,26 @@ def test_alpha_lp_certified_on_demo_city():
     ],
     ids=["solve_placement", "admm_solve", "greedy", "exhaustive", "alpha_lp", "epigraph_lp"],
 )
+
+
+@ALL_SOLVERS
 def test_no_users_is_a_value_error(solve):
     with pytest.raises(ValueError, match="no users"):
         solve(np.zeros((0, 3)))
+
+
+@ALL_SOLVERS
+@pytest.mark.parametrize(
+    "values",
+    [[[np.inf, 0.5]], [[np.nan, 2.0]], [[-0.5, 2.0]]],
+    ids=["inf", "nan", "negative"],
+)
+def test_invalid_capacities_are_a_value_error(solve, values):
+    # an infinite entry used to run solve_placement for 40,000 NaN
+    # iterations into a "feasible" answer; a negative one breaks the
+    # monotone coverage that greedy rounding relies on
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve(np.array(values))
 
 
 def test_import_defers_scipy_optimize():
