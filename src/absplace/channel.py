@@ -73,6 +73,14 @@ class ChannelParams:
         return replace(self, min_rate=min_rate)
 
 
+def _check_capacities(values: np.ndarray) -> None:
+    """Raise ValueError unless ``values`` is 2-D, finite and nonnegative."""
+    if values.ndim != 2:
+        raise ValueError("capacity matrix must be 2D")
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise ValueError("capacities must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class CapacityMatrix:
     """User-by-candidate link capacities in bit/s.
@@ -88,15 +96,12 @@ class CapacityMatrix:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("capacity matrix must be 2D")
+        _check_capacities(values)
         if values.shape != (len(self.users), len(self.candidates)):
             raise ValueError(
                 f"shape {values.shape} inconsistent with {len(self.users)} users "
                 f"and {len(self.candidates)} candidates"
             )
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("capacities must be finite and nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "users", tuple(self.users))

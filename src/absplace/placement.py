@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CapacityMatrix
+from .channel import CapacityMatrix, _check_capacities
 from .errors import EmptyProblemError, InfeasibleError
 from .geometry import Point3
 
@@ -305,10 +305,6 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
     return _ZStep(c, float(r_min))(r + u)[0]
 
 
-def _capacity_values(C) -> np.ndarray:
-    return np.asarray(getattr(C, "values", C), dtype=float)
-
-
 _EPS = float(np.finfo(float).eps)
 # Rows whose absolute sum reaches this always take the exact fallback: below
 # it, no float total built from their entries can overflow.
@@ -358,28 +354,36 @@ class _Coverage:
         return self.short_rows(members, totals).size == 0
 
 
-def _coverage_rule(values: np.ndarray, r_min: float) -> _Coverage:
-    """The coverage rule of ``values``. Raises ValueError, as CapacityMatrix
-    does, unless they are 2-D, finite and nonnegative (greedy rounding needs
-    coverage to grow with the set), and EmptyProblemError (a ValueError) when
-    there are no users, since no solver can place stations for nobody."""
-    if values.ndim != 2:
-        raise ValueError("capacity matrix must be 2D")
-    if not (np.isfinite(values).all() and (values >= 0).all()):
-        raise ValueError("capacities must be finite and nonnegative")
+def _coverage_rule(C, r_min: float) -> _Coverage:
+    """The coverage rule of ``C``, a CapacityMatrix or an array; its
+    ``values`` are the float array. Raises ValueError, by CapacityMatrix's
+    own check and before any shape is read, unless they are 2-D, finite and
+    nonnegative (greedy rounding needs coverage to grow with the set), and
+    EmptyProblemError (a ValueError) when there are no users, since no
+    solver can place stations for nobody."""
+    values = np.asarray(getattr(C, "values", C), dtype=float)
+    _check_capacities(values)
     if values.shape[0] == 0:
         raise EmptyProblemError("capacity matrix has no users to cover")
     return _Coverage(values, r_min)
 
 
-def _check_rows_coverable(values: np.ndarray, r_min: float) -> _Coverage:
-    """The entry guard of the solvers; returns the coverage rule of ``values``.
+def _check_target(r_min: float) -> None:
+    if not (r_min > 0 and math.isfinite(r_min)):
+        raise ValueError(f"target rate must be finite and positive, got {r_min}")
 
-    Raises as ``_coverage_rule`` does, and InfeasibleError naming the users
-    that even every column together leaves short.
+
+def _check_rows_coverable(C, r_min: float) -> _Coverage:
+    """The entry guard of the solvers; returns the coverage rule of ``C``.
+
+    ``C`` is what ``_coverage_rule`` takes, or a rule it built. Raises
+    ValueError unless r_min is finite and positive, then as
+    ``_coverage_rule`` does, and InfeasibleError naming the users that even
+    every column together leaves short.
     """
-    rule = _coverage_rule(values, r_min)
-    short = rule.short_rows(slice(None), values.sum(axis=1))
+    _check_target(r_min)
+    rule = C if isinstance(C, _Coverage) else _coverage_rule(C, r_min)
+    short = rule.short_rows(slice(None), rule.values.sum(axis=1))
     if short.size:
         raise InfeasibleError(
             "users not coverable even with every candidate active: "
@@ -408,9 +412,9 @@ class _Instance:
     Z-step. Building it runs the entry guard.
     """
 
-    def __init__(self, values: np.ndarray, r_min: float):
-        self.values = values
-        self.rule = _check_rows_coverable(values, r_min)
+    def __init__(self, C, r_min: float):
+        self.rule = _check_rows_coverable(C, r_min)
+        self.values = values = self.rule.values
         self.order, self.rank = _canonical_order(values)
         self.cn = values[:, self.order] / r_min
         self.z_step = _ZStep(self.cn, 1.0)
@@ -459,7 +463,7 @@ def admm_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    inst = C if isinstance(C, _Instance) else _Instance(_capacity_values(C), r_min)
+    inst = C if isinstance(C, _Instance) else _Instance(C, r_min)
     m, g = inst.values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
     if w.shape != (g,) or np.any(w < 0):
@@ -580,6 +584,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
         values, rule, rank = values.values, values.rule, values.rank
     else:
         rule = _coverage_rule(values, r_min)
+        values = rule.values
         rank = _canonical_order(values)[1]
     scores = np.asarray(scores, dtype=float)
     n = values.shape[1]
@@ -621,8 +626,8 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
     against the actual capacities, so the returned placement is always
     feasible with no redundant station.
     """
-    values = _capacity_values(C)
-    inst = _Instance(values, r_min)  # the guard, canonical order and Z-step, once
+    inst = _Instance(C, r_min)  # the guard, canonical order and Z-step, once
+    values = inst.values
     g = values.shape[1]
     w = np.ones(g)
     rho = config.rho

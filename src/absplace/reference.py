@@ -5,8 +5,8 @@ Three independent references:
   * exhaustive subset search over candidate columns (exponential, guarded),
   * the exact epigraph linear program equivalent to the relaxed placement
     problem (weighted slack objective over the rate matrix),
-  * the column-activation LP relaxation over alpha in [0, 1]^G with
-    reweighting.
+  * the column-activation LP relaxation over alpha in [0, 1]^G, clipped
+    at the target and solved once.
 
 Both LPs are solved by HiGHS (``scipy.optimize.linprog``, Huangfu & Hall
 2018). Every solve is certified before its result is returned: the primal
@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import GuardError, InfeasibleError
-from .placement import PlacementConfig, _check_rows_coverable, greedy_cover_from_scores
+from .placement import _check_rows_coverable, _check_target, _coverage_rule, greedy_cover_from_scores
 
 __all__ = ["exhaustive_min_abs", "solve_epigraph_lp", "solve_alpha_lp"]
 
@@ -98,13 +98,15 @@ def exhaustive_min_abs(C, r_min: float, guard: int = 25):
     Enumerates subsets in increasing cardinality (lexicographic inside each
     size) and returns the first that covers, as (size, witness tuple),
     by the exact coverage rule of ``covers``. Guarded to G <= ``guard``
-    columns.
+    columns; a wider matrix raises GuardError before coverability is checked.
     """
-    values = np.asarray(getattr(C, "values", C), dtype=float)
+    _check_target(r_min)
+    rule = _coverage_rule(C, r_min)
+    values = rule.values
     g = values.shape[1]
     if g > guard:
         raise GuardError(f"exhaustive search guarded to {guard} columns, got {g}")
-    rule = _check_rows_coverable(values, r_min)
+    _check_rows_coverable(rule, r_min)
     for size in range(1, g + 1):
         for subset in itertools.combinations(range(g), size):
             if rule.covers(subset, values[:, subset].sum(axis=1)):
@@ -120,9 +122,8 @@ def solve_epigraph_lp(C, r_min: float, w=None):
     correctness oracle for the ADMM path: both optimize the same convex
     problem. As in ``admm_solve``, rates are solved for in units of r_min.
     """
-    values = np.asarray(getattr(C, "values", C), dtype=float)
+    values = _check_rows_coverable(C, r_min).values
     m, g = values.shape
-    _check_rows_coverable(values, r_min)
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
     n_r = m * g  # r variables first (row-major), then the G slacks
     c = np.concatenate([np.zeros(n_r), w])
@@ -140,32 +141,20 @@ def solve_epigraph_lp(C, r_min: float, w=None):
     return objective * r_min, x[:n_r].reshape(m, g), x[n_r:]
 
 
-def solve_alpha_lp(
-    C,
-    r_min: float,
-    rounds: int = PlacementConfig.reweight_rounds,
-    eps: float = PlacementConfig.reweight_eps,
-):
-    """Reweighted column-activation LP relaxation.
+def solve_alpha_lp(C, r_min: float):
+    """Column-activation LP relaxation, clipped at the target, then rounded.
 
-    Solves min w @ alpha over alpha in [0, 1]^G with min(C, r_min) alpha >=
-    r_min, iterating w = 1 / (eps + alpha) from uniform weights, then rounds
-    alpha greedily from the empty set. Returns (alpha, selected tuple).
-    The clipping is coefficient tightening (Nemhauser & Wolsey 1988): for
-    0/1 alpha it holds iff C alpha >= r_min does, but a fractional alpha can
-    no longer cover a user with a small share of one strong column. The
-    constraints are divided by r_min: on raw rates (capacities of millions
-    of b/s) HiGHS can stop at a suboptimal vertex, which the certificate's
-    sign check then rejects.
+    Solves min sum(alpha) over alpha in [0, 1]^G with min(C, r_min) alpha >=
+    r_min once, and rounds alpha greedily from the empty set. Returns
+    (alpha, selected tuple). The clipping is coefficient tightening
+    (Nemhauser & Wolsey 1988): for 0/1 alpha it holds iff C alpha >= r_min
+    does, but a fractional alpha can no longer cover a user with a small
+    share of one strong column. The constraints are divided by r_min: on
+    raw rates (capacities of millions of b/s) HiGHS can stop at a
+    suboptimal vertex, which the certificate's sign check then rejects.
     """
-    values = np.asarray(getattr(C, "values", C), dtype=float)
+    values = _check_rows_coverable(C, r_min).values
     m, g = values.shape
-    _check_rows_coverable(values, r_min)
     a_ub = -np.minimum(values / r_min, 1.0)
-    w = np.ones(g)
-    alpha = np.zeros(g)
-    for _ in range(rounds):
-        alpha, _ = _solve_highs(w, a_ub, -np.ones(m), (0.0, 1.0))
-        w = 1.0 / (eps + alpha)
-    selected = greedy_cover_from_scores(values, r_min, alpha, ())
-    return alpha, tuple(selected)
+    alpha, _ = _solve_highs(np.ones(g), a_ub, -np.ones(m), (0.0, 1.0))
+    return alpha, tuple(greedy_cover_from_scores(values, r_min, alpha, ()))

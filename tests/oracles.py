@@ -223,6 +223,19 @@ def scipy_epigraph_optimum(values: np.ndarray, r_min: float, w=None) -> float:
     return float(res.fun)
 
 
+def clipped_alpha_lp_optimum(values: np.ndarray, r_min: float) -> float:
+    """Optimum of the clipped activation LP via scipy (HiGHS), uncertified:
+    min sum(alpha) s.t. min(C / r_min, 1) alpha >= 1, 0 <= alpha <= 1."""
+    m, g = values.shape
+    res = linprog(
+        np.ones(g), A_ub=-np.minimum(values / r_min, 1.0), b_ub=-np.ones(m),
+        bounds=[(0.0, 1.0)] * g, method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"scipy reference LP failed: {res.message}")
+    return float(res.fun)
+
+
 def exhaustive_bitmask(values: np.ndarray, r_min: float):
     """Second enumeration order: scan all bitmasks, keep the best by size.
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from absplace import (
 from absplace.placement import covers, greedy_cover_from_scores
 
 from oracles import (
+    clipped_alpha_lp_optimum,
     exhaustive_bitmask,
     random_feasible_instance,
     scipy_epigraph_optimum,
@@ -62,6 +64,12 @@ class TestExhaustive:
         with pytest.raises(InfeasibleError) as err:
             exhaustive_min_abs(values, 1.0)
         assert err.value.users == (0,)
+
+    def test_guard_before_coverability(self):
+        # a too-wide matrix is refused by size even when no set covers, so
+        # a sweep counts it as guarded, not infeasible
+        with pytest.raises(GuardError):
+            exhaustive_min_abs(np.full((1, 26), 0.01), 1.0)
 
 
 class TestEpigraphLp:
@@ -145,6 +153,15 @@ class TestAlphaLp:
         with pytest.raises(InfeasibleError):
             solve_alpha_lp(np.array([[0.4, 0.4]]), 1.0)
 
+    def test_one_solve_reaches_the_clipped_lp_optimum(self):
+        # the relaxation is solved once, so alpha sums to the optimum of
+        # min sum(alpha) s.t. min(C / r_min, 1) alpha >= 1, 0 <= alpha <= 1
+        rng = np.random.default_rng(1007)
+        for _ in range(200):
+            values, r_min = random_feasible_instance(rng, m_max=4, g_max=10)
+            alpha, _ = solve_alpha_lp(values, r_min)
+            assert abs(alpha.sum() - clipped_alpha_lp_optimum(values, r_min)) <= 1e-7
+
 
 def test_oracle_dominance_across_paths():
     rng = np.random.default_rng(47)
@@ -214,17 +231,19 @@ def test_alpha_lp_clipped_at_target_finds_single_station():
     assert covers(cm.values, selected, r_min)
 
 
+# the solver entries that take a target rate, each as solve(values, r_min)
+TARGET_SOLVERS = {
+    "solve_placement": solve_placement,
+    "admm_solve": admm_solve,
+    "exhaustive": exhaustive_min_abs,
+    "alpha_lp": solve_alpha_lp,
+    "epigraph_lp": solve_epigraph_lp,
+}
 ALL_SOLVERS = pytest.mark.parametrize(
     "solve",
-    [
-        lambda v: solve_placement(v, 1.0),
-        lambda v: admm_solve(v, 1.0),
-        lambda v: greedy_cover_from_scores(v, 1.0, np.ones(v.shape[1]), []),
-        lambda v: exhaustive_min_abs(v, 1.0),
-        lambda v: solve_alpha_lp(v, 1.0),
-        lambda v: solve_epigraph_lp(v, 1.0),
-    ],
-    ids=["solve_placement", "admm_solve", "greedy", "exhaustive", "alpha_lp", "epigraph_lp"],
+    [partial(solve, r_min=1.0) for solve in TARGET_SOLVERS.values()]
+    + [lambda v: greedy_cover_from_scores(v, 1.0, np.ones(v.shape[-1]), [])],
+    ids=[*TARGET_SOLVERS, "greedy"],
 )
 
 
@@ -246,6 +265,22 @@ def test_invalid_capacities_are_a_value_error(solve, values):
     # monotone coverage that greedy rounding relies on
     with pytest.raises(ValueError, match="finite and nonnegative"):
         solve(np.array(values))
+
+
+@ALL_SOLVERS
+def test_one_dimensional_matrix_is_a_value_error(solve):
+    # the entry guard checks the matrix before any solver reads its shape
+    with pytest.raises(ValueError, match="capacity matrix must be 2D"):
+        solve(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("solve", TARGET_SOLVERS.values(), ids=TARGET_SOLVERS.keys())
+@pytest.mark.parametrize("r_min", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_target_must_be_finite_and_positive(solve, r_min):
+    # at zero solve_placement used to run 40,000 NaN iterations into an
+    # empty "feasible" placement; at -1 the solvers disagreed
+    with pytest.raises(ValueError, match="target rate must be finite and positive"):
+        solve(np.array([[2.0, 0.5], [0.3, 1.5]]), r_min)
 
 
 def test_import_defers_scipy_optimize():
