@@ -8,7 +8,6 @@ from .channel import (
     capacity_bps,
     gain_db,
     noise_power_from_dbm,
-    prune_zero_columns,
     write_capacity_csv,
 )
 from .config import RunConfig, load_config
@@ -16,7 +15,6 @@ from .errors import ConfigError, DomainError, EmptyProblemError, GuardError, Inf
 from .geometry import Box3, Point3, RegularGrid3, Segment3, containing_voxel, grid_point
 from .placement import (
     AdmmState,
-    PlacementConfig,
     PlacementResult,
     admm_solve,
     covers,

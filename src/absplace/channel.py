@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, EmptyProblemError
+from .errors import DomainError
 from .geometry import Point3
 from .tomography import SlfField, line_integrals
 
@@ -32,7 +32,6 @@ __all__ = [
     "gain_db",
     "capacity_bps",
     "build_capacity_matrix",
-    "prune_zero_columns",
     "write_capacity_csv",
 ]
 
@@ -161,23 +160,6 @@ def build_capacity_matrix(params: ChannelParams, users, candidates, slf: SlfFiel
     shadow = line_integrals(slf, starts, ends)
     rate = _shannon_bps(params, _free_space_db(params, distance) - shadow)
     return CapacityMatrix(rate.reshape(len(u), len(c)), users, candidates)
-
-
-def prune_zero_columns(cm: CapacityMatrix, threshold: float = 0.0):
-    """Drop candidates whose best capacity is at most ``threshold``.
-
-    Returns the pruned matrix and the array of retained original column
-    indices. Raises EmptyProblemError if nothing survives.
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    keep = np.flatnonzero(cm.values.max(axis=0) > threshold)
-    if keep.size == 0:
-        raise EmptyProblemError("all capacity columns pruned")
-    pruned = CapacityMatrix(
-        cm.values[:, keep], cm.users, tuple(cm.candidates[g] for g in keep)
-    )
-    return pruned, keep
 
 
 def write_capacity_csv(cm: CapacityMatrix, path) -> None:

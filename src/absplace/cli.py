@@ -149,7 +149,7 @@ def cmd_place(config_path, overrides, out):
     """Solve one placement instance; write JSON result and positions CSV."""
     cfg = load_config(config_path, overrides)
     scenario, users, cm = _build_instance(cfg)
-    result = solve_placement(cm, cfg.channel.min_rate, cfg.solver)
+    result = solve_placement(cm, cfg.channel.min_rate)
     out_dir = _out_dir(cfg, out)
 
     payload = {
@@ -199,7 +199,7 @@ def cmd_oracle(config_path, overrides, compare_admm):
     n_star, witness = exhaustive_min_abs(cm, cfg.channel.min_rate)
     payload = {"n_star": n_star, "witness": list(witness)}
     if compare_admm:
-        result = solve_placement(cm, cfg.channel.min_rate, cfg.solver)
+        result = solve_placement(cm, cfg.channel.min_rate)
         payload["admm"] = {"n_abs": result.n_abs, "gap": result.n_abs - n_star}
     click.echo(_dump_json(payload))
 

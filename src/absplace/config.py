@@ -1,11 +1,12 @@
 """Run configuration: one YAML document drives every CLI command.
 
-Sections: channel, scenario, solver, experiment, output. The scenario,
-solver, experiment and output sections are read straight into the library's
-dataclasses (``ScenarioParams``, ``PlacementConfig``, ``ExperimentSpec``,
-``OutputConfig``): a key left out takes the dataclass's own default, and a
-value the dataclass rejects is reported as ``<section>: <reason>``. Every
-key is type-checked and unknown keys are rejected before any work starts.
+Sections: channel, scenario, experiment, output. The scenario, experiment
+and output sections are read straight into the library's dataclasses
+(``ScenarioParams``, ``ExperimentSpec``, ``OutputConfig``): a key left out
+takes the dataclass's own default, and a value the dataclass rejects is
+reported as ``<section>: <reason>``. Every key is type-checked and unknown
+keys and sections are rejected before any work starts. The placement
+solver has no section: its settings are constants of ``placement``.
 Exactly one of ``wavelength_m`` / ``frequency_hz`` may be given (the other
 is derived with c = 2.998e8 m/s); likewise for ``noise_power_w`` /
 ``noise_power_dbm``. Command-line overrides (``-O section.key=value``) are
@@ -14,6 +15,7 @@ applied to the raw document before validation, so flag > file > default.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -21,7 +23,6 @@ import yaml
 from .channel import SPEED_OF_LIGHT, ChannelParams, noise_power_from_dbm
 from .errors import ConfigError
 from .geometry import Box3, Point3
-from .placement import PlacementConfig
 from .scenario import ExperimentSpec, ScenarioParams
 
 __all__ = ["OutputConfig", "RunConfig", "load_config"]
@@ -38,17 +39,30 @@ class OutputConfig:
 class RunConfig:
     channel: ChannelParams
     scenario: ScenarioParams
-    solver: PlacementConfig
     experiment: ExperimentSpec
     output: OutputConfig
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1's float needs a dot and a signed exponent, so PyYAML reads
+    2e6 and 5.0e6 as strings; this loader reads them as the floats of
+    YAML 1.2. A quoted value stays a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _read(kind, value):
-    """One YAML value as ``kind``: a bool never passes for a number, nor a
-    number for a bool or a string, and an int key takes whole numbers only."""
+    """One YAML value as ``kind``: a bool or a string never passes for a
+    number, nor a number for a bool or a string, and an int key takes whole
+    numbers only."""
     if kind in (bool, str) and not isinstance(value, kind):
         raise TypeError
-    if kind in (int, float) and isinstance(value, bool):
+    if kind in (int, float) and isinstance(value, (bool, str)):
         raise TypeError
     if kind is int and int(value) != value:
         raise TypeError
@@ -127,9 +141,6 @@ _SCENARIO_KEYS = {
     "num_users": ("num_users", int),
     "gt_height_m": ("gt_height", float),
 }
-_SOLVER_KEYS = _same_name(
-    rho=float, eps_abs=float, eps_rel=float, max_iter=int, reweight_rounds=int, reweight_eps=float
-)
 _EXPERIMENT_KEYS = _same_name(
     sweep=str, values=_tuple(float), repetitions=int, seed=int, solvers=_tuple(str)
 )
@@ -167,7 +178,7 @@ def _parse_channel(sec: _Section) -> ChannelParams:
         raise ConfigError(f"channel: {exc}") from None
 
 
-_SECTIONS = ("channel", "scenario", "solver", "experiment", "output")
+_SECTIONS = ("channel", "scenario", "experiment", "output")
 
 
 def _apply_overrides(doc: dict, overrides) -> dict:
@@ -182,7 +193,7 @@ def _apply_overrides(doc: dict, overrides) -> dict:
         if section not in _SECTIONS:
             raise ConfigError(f"override section {section!r} unknown")
         try:
-            value = yaml.safe_load(text)
+            value = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError:
             raise ConfigError(f"cannot parse override value {text!r}") from None
         doc.setdefault(section, {})
@@ -202,7 +213,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
         doc = {}
     else:
         with open(path) as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = yaml.load(fh, Loader=_Loader) or {}
         if not isinstance(doc, dict):
             raise ConfigError("configuration root must be a mapping")
     doc = _apply_overrides(dict(doc), overrides)
@@ -215,10 +226,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
 
     channel = _parse_channel(section("channel"))
     scenario = section("scenario").build(ScenarioParams, _SCENARIO_KEYS)
-    solver = section("solver").build(PlacementConfig, _SOLVER_KEYS)
     experiment = section("experiment").build(
-        ExperimentSpec, _EXPERIMENT_KEYS, **_EXPERIMENT_DEFAULTS,
-        scenario=scenario, channel=channel, placement=solver,
+        ExperimentSpec, _EXPERIMENT_KEYS, **_EXPERIMENT_DEFAULTS, scenario=scenario, channel=channel
     )
     output = section("output").build(OutputConfig, _OUTPUT_KEYS)
-    return RunConfig(channel, scenario, solver, experiment, output)
+    return RunConfig(channel, scenario, experiment, output)

@@ -57,6 +57,11 @@ guard, the canonical column order that every solve and greedy's tie-break
 use, the scaled capacities and their Z-step. Its ADMM rounds and the greedy
 rounding all share it, so a placement runs one lexicographic sort, not
 one per round.
+
+The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
+rates are scaled to the target and residual balancing adapts rho, so one
+set serves every instance. ``admm_solve`` and ``reweight`` default their
+keyword arguments to them.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from .errors import EmptyProblemError, InfeasibleError
 from .geometry import Point3
 
 __all__ = [
-    "PlacementConfig",
     "AdmmState",
     "PlacementResult",
     "x_step_column",
@@ -98,34 +102,15 @@ _BALANCE_UNTIL = 1000
 _BALANCE_RATIO = 10.0
 
 
-@dataclass(frozen=True)
-class PlacementConfig:
-    """Solver settings; scale-dependent tolerances are relative to the target rate.
-
-    ``max_iter`` bounds the ADMM iterations of each of the
-    ``reweight_rounds`` solves. ``rho`` is the initial ADMM step of the
-    first round; residual balancing adapts it over the first 1,000
-    iterations of each round, and every later round starts at the step
-    the previous one ended at. Stations are chosen greedily from the
-    column sup-norms of the final rate matrix R.
-    """
-
-    rho: float = 1.0
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-4
-    max_iter: int = 10000
-    reweight_rounds: int = 4
-    reweight_eps: float = 1e-3
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.reweight_rounds < 1:
-            raise ValueError("at least one solve round is required")
-        if self.reweight_eps <= 0:
-            raise ValueError(f"reweight_eps must be positive, got {self.reweight_eps}")
+# Solver settings: the initial step, the tolerances (relative to the target
+# rate), the iteration cap of each of the _ROUNDS solves of solve_placement,
+# and the eps of reweighting (Candes, Wakin & Boyd 2008).
+_RHO = 1.0
+_EPS_ABS = 1e-6
+_EPS_REL = 1e-4
+_MAX_ITER = 10_000
+_ROUNDS = 4
+_REWEIGHT_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -368,6 +353,11 @@ def _coverage_rule(C, r_min: float) -> _Coverage:
     return _Coverage(values, r_min)
 
 
+def _check_finite_target(r_min: float) -> None:
+    if not math.isfinite(r_min):
+        raise ValueError(f"target rate must be finite, got {r_min}")
+
+
 def _check_target(r_min: float) -> None:
     if not (r_min > 0 and math.isfinite(r_min)):
         raise ValueError(f"target rate must be finite and positive, got {r_min}")
@@ -423,11 +413,11 @@ class _Instance:
 def admm_solve(
     C,
     r_min: float,
-    rho: float = PlacementConfig.rho,
+    rho: float = _RHO,
     w=None,
-    max_iter: int = PlacementConfig.max_iter,
-    eps_abs: float = PlacementConfig.eps_abs,
-    eps_rel: float = PlacementConfig.eps_rel,
+    max_iter: int = _MAX_ITER,
+    eps_abs: float = _EPS_ABS,
+    eps_rel: float = _EPS_REL,
     z0=None,
     u0=None,
 ) -> AdmmState:
@@ -441,12 +431,12 @@ def admm_solve(
     ``max_iter`` iterations, which must be at least 1; stopping there
     logs one warning on the ``absplace`` logger.
 
-    ``rho`` is the initial step. Every 10 iterations up to iteration 1,000,
-    residual balancing doubles it (and halves the scaled U) when the
-    primal residual exceeds 10 times the dual one, and does the reverse
-    when the dual residual exceeds 10 times the primal one; after that rho
-    is fixed, which keeps the fixed-step convergence guarantee. The
-    returned ``rho`` and ``U`` are at the final step.
+    ``rho`` is the initial step, finite and positive. Every 10 iterations
+    up to iteration 1,000, residual balancing doubles it (and halves the
+    scaled U) when the primal residual exceeds 10 times the dual one, and
+    does the reverse when the dual residual exceeds 10 times the primal
+    one; after that rho is fixed, which keeps the fixed-step convergence
+    guarantee. The returned ``rho`` and ``U`` are at the final step.
 
     ``z0`` / ``u0`` warm-start the iteration (original rate units, U scaled
     by the ``rho`` passed in); otherwise Z starts at min(C, r_min / G) and
@@ -463,6 +453,8 @@ def admm_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     inst = C if isinstance(C, _Instance) else _Instance(C, r_min)
     m, g = inst.values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
@@ -531,7 +523,7 @@ def admm_solve(
     )
 
 
-def reweight(R: np.ndarray, r_min: float, eps: float = PlacementConfig.reweight_eps) -> np.ndarray:
+def reweight(R: np.ndarray, r_min: float, eps: float = _REWEIGHT_EPS) -> np.ndarray:
     """Next sparsity weights: w_g = 1 / (eps + ||R[:, g]||_inf / r_min).
 
     Column magnitudes are normalized by the target rate so eps is
@@ -550,7 +542,9 @@ def covers(values: np.ndarray, subset, r_min: float) -> bool:
     in. Float row totals decide every row outside a rigorous rounding band
     around r_min; only rows inside it are summed with ``math.fsum``. A
     column listed twice counts twice; the empty set covers iff r_min <= 0.
+    A NaN or infinite r_min raises ValueError.
     """
+    _check_finite_target(r_min)
     subset = list(subset)
     if not subset:
         return bool(r_min <= 0)
@@ -569,9 +563,10 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     the candidates reorders the output set identically. The column index is
     the final fallback, relevant only for byte-identical duplicate columns.
     Assumes the full column set covers; raises EmptyProblemError on a
-    matrix with no users. Coverage grows with the set, the columns above
-    any score cut are a prefix of the add order and the prune order is its
-    reverse, so starting from them ends where the empty start does.
+    matrix with no users and ValueError on a NaN or infinite r_min.
+    Coverage grows with the set, the columns above any score cut are a
+    prefix of the add order and the prune order is its reverse, so
+    starting from them ends where the empty start does.
 
     The set's float row totals are kept as an M-vector, so each visited
     column costs one O(M) add or subtract and a comparison against the
@@ -580,6 +575,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     ``solve_placement`` passes its prepared instance in place of the
     matrix, so the rule and the ranks come from the placement's set-up.
     """
+    _check_finite_target(r_min)
     if isinstance(values, _Instance):
         values, rule, rank = values.values, values.rule, values.rank
     else:
@@ -617,36 +613,31 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     return np.flatnonzero(members).tolist()
 
 
-def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = PlacementConfig()) -> PlacementResult:
+def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     """Reweighted ADMM placement: solve, then round greedily.
 
-    Runs ``reweight_rounds`` solves (uniform weights first, then reweighted),
-    each warm-started from the previous round. ``greedy_cover_from_scores``
-    then rounds the column sup-norms of the final R from the empty set
-    against the actual capacities, so the returned placement is always
-    feasible with no redundant station.
+    Runs ``_ROUNDS`` solves (uniform weights first, then reweighted), each
+    warm-started from the previous round and stopped at ``_MAX_ITER``
+    iterations or at the tolerances ``_EPS_ABS`` and ``_EPS_REL``; the
+    first starts at step ``_RHO``. These module constants are read at each
+    call. ``greedy_cover_from_scores`` then rounds the column sup-norms of
+    the final R from the empty set against the actual capacities, so the
+    returned placement is always feasible with no redundant station.
     """
     inst = _Instance(C, r_min)  # the guard, canonical order and Z-step, once
     values = inst.values
     g = values.shape[1]
     w = np.ones(g)
-    rho = config.rho
+    rho = _RHO
     z0 = u0 = None
     traces = []
     iterations = 0  # the trace offset of the next round
     all_converged = True
     state = None
-    for _ in range(config.reweight_rounds):
+    for _ in range(_ROUNDS):
         state = admm_solve(
-            inst,
-            r_min,
-            rho=rho,
-            w=w,
-            max_iter=config.max_iter,
-            eps_abs=config.eps_abs,
-            eps_rel=config.eps_rel,
-            z0=z0,
-            u0=u0,
+            inst, r_min, rho=rho, w=w, max_iter=_MAX_ITER, eps_abs=_EPS_ABS, eps_rel=_EPS_REL,
+            z0=z0, u0=u0,
         )
         tr = state.trace.copy()
         tr[:, 0] += iterations
@@ -655,7 +646,7 @@ def solve_placement(C: CapacityMatrix, r_min: float, config: PlacementConfig = P
         all_converged = all_converged and state.converged
         # U is scaled by the final rho, so the next round resumes at that step.
         rho, z0, u0 = state.rho, state.Z, state.U
-        w = reweight(state.R, r_min, config.reweight_eps)
+        w = reweight(state.R, r_min, _REWEIGHT_EPS)
         # Rescaling all weights leaves the argmin unchanged but keeps the
         # slack costs commensurate with rho, which conditions the iteration.
         w /= w.max()

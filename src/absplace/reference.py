@@ -29,6 +29,8 @@ from .placement import _check_rows_coverable, _check_target, _coverage_rule, gre
 __all__ = ["exhaustive_min_abs", "solve_epigraph_lp", "solve_alpha_lp"]
 
 _FEAS_TOL = 1e-8
+# Exhaustive search enumerates up to 2^_GUARD subsets; wider matrices are refused.
+_GUARD = 25
 
 
 def _certify(c, a_ub, b_ub, a_eq, b_eq, lower, upper, res) -> float:
@@ -92,20 +94,21 @@ def _solve_highs(c, a_ub, b_ub, bounds, a_eq=None, b_eq=None):
     return res.x, _certify(c, a_ub, b_ub, a_eq, b_eq, lower, upper, res)
 
 
-def exhaustive_min_abs(C, r_min: float, guard: int = 25):
+def exhaustive_min_abs(C, r_min: float):
     """Smallest feasible candidate subset by brute force.
 
     Enumerates subsets in increasing cardinality (lexicographic inside each
     size) and returns the first that covers, as (size, witness tuple),
-    by the exact coverage rule of ``covers``. Guarded to G <= ``guard``
-    columns; a wider matrix raises GuardError before coverability is checked.
+    by the exact coverage rule of ``covers``. Guarded to G <= 25 columns
+    (``_GUARD``); a wider matrix raises GuardError before coverability is
+    checked.
     """
     _check_target(r_min)
     rule = _coverage_rule(C, r_min)
     values = rule.values
     g = values.shape[1]
-    if g > guard:
-        raise GuardError(f"exhaustive search guarded to {guard} columns, got {g}")
+    if g > _GUARD:
+        raise GuardError(f"exhaustive search guarded to {_GUARD} columns, got {g}")
     _check_rows_coverable(rule, r_min)
     for size in range(1, g + 1):
         for subset in itertools.combinations(range(g), size):

@@ -16,6 +16,7 @@ replayed across sweep values.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -24,7 +25,7 @@ import numpy as np
 from .channel import CapacityMatrix, ChannelParams, build_capacity_matrix
 from .errors import EmptyProblemError, GuardError, InfeasibleError
 from .geometry import Box3, Point3, RegularGrid3
-from .placement import PlacementConfig, solve_placement
+from .placement import solve_placement
 from .reference import exhaustive_min_abs, solve_alpha_lp
 from .tomography import SlfField
 
@@ -63,6 +64,10 @@ class ScenarioParams:
     gt_height: float = 0.0
 
     def __post_init__(self):
+        reals = (*self.area, self.building_height, self.absorption_db_per_m,
+                 *self.flight_band, self.slf_top, self.gt_height)
+        if not all(map(math.isfinite, reals)):
+            raise ValueError("lengths, heights and absorption must be finite")
         if self.streets_per_axis[0] < 2 or self.streets_per_axis[1] < 2:
             raise ValueError("need at least 2 streets per axis")
         if self.building_height < 0 or self.absorption_db_per_m < 0:
@@ -204,7 +209,6 @@ class ExperimentSpec:
     scenario: ScenarioParams
     channel: ChannelParams
     solvers: tuple[str, ...] = ("admm",)
-    placement: PlacementConfig = PlacementConfig()
 
     def __post_init__(self):
         if self.sweep not in ("num_users", "building_height", "min_rate"):
@@ -270,9 +274,9 @@ def _sweep_applied(spec: ExperimentSpec, value):
     return scen, chan
 
 
-def _solve_one(name: str, cm: CapacityMatrix, r_min: float, placement: PlacementConfig):
+def _solve_one(name: str, cm: CapacityMatrix, r_min: float):
     if name == "admm":
-        return solve_placement(cm, r_min, placement).n_abs
+        return solve_placement(cm, r_min).n_abs
     if name == "alpha_lp":
         return len(solve_alpha_lp(cm, r_min)[1])
     return exhaustive_min_abs(cm, r_min)[0]
@@ -290,7 +294,7 @@ def _run_repetition(spec: ExperimentSpec, scenario: UrbanScenario, value, rep: i
         # partial failures keep their row (with an empty count) so the rest
         # of the sweep still runs
         try:
-            n = _solve_one(name, cm, scenario.channel.min_rate, spec.placement)
+            n = _solve_one(name, cm, scenario.channel.min_rate)
         except InfeasibleError:
             pass
         except GuardError:

@@ -388,16 +388,14 @@ def estimate_slf(
     sparse design matrix A comes from the batched kernel of
     ``line_integrals``, one row of interval weights per link.
 
-    With ridge > 0 the rows sqrt(ridge) * I are stacked under A and zeros
-    under the observations, which leaves the objective exactly as above.
-    Every column of the stacked matrix is then scaled to unit norm (each
-    norm is at least sqrt(ridge)) before ``lsmr`` runs, and the result is
-    unscaled. This Jacobi preconditioning evens out the column norms of a
-    survey whose voxels are crossed very unevenly, and cuts the iteration
-    count about tenfold on city-sized surveys. With ridge = 0 the scale is
-    1: scaling would change which least-squares solution a rank-deficient
-    system converges to, and this path returns the minimum-norm one.
-    Voxels no link crosses come out 0.
+    The ridge must be finite and positive. The rows sqrt(ridge) * I are
+    stacked under A and zeros under the observations, which leaves the
+    objective exactly as above. Every column of the stacked matrix is then
+    scaled to unit norm (each norm is at least sqrt(ridge)) before ``lsmr``
+    runs, and the result is unscaled. This Jacobi preconditioning evens out
+    the column norms of a survey whose voxels are crossed very unevenly, and
+    cuts the iteration count about tenfold on city-sized surveys. Voxels no
+    link crosses come out 0.
 
     Negative fitted values are clipped to zero by default since physical
     absorption is nonnegative.
@@ -405,16 +403,14 @@ def estimate_slf(
     measurements = list(measurements)
     if not measurements:
         raise ValueError("at least one measurement is required")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not (ridge > 0 and math.isfinite(ridge)):
+        raise ValueError(f"ridge must be finite and positive, got {ridge}")
     a = _design_matrix(measurements, grid)
+    a = sparse.vstack([a, math.sqrt(ridge) * sparse.identity(grid.num_points)], format="csr")
     y = np.array([m.shadow_db for m in measurements], dtype=float)
-    scale = np.ones(grid.num_points)
-    if ridge > 0:
-        a = sparse.vstack([a, math.sqrt(ridge) * sparse.identity(grid.num_points)], format="csr")
-        y = np.concatenate([y, np.zeros(grid.num_points)])
-        scale = 1.0 / sparse.linalg.norm(a, axis=0)
-        a = a @ sparse.diags(scale)
+    y = np.concatenate([y, np.zeros(grid.num_points)])
+    scale = 1.0 / sparse.linalg.norm(a, axis=0)
+    a = a @ sparse.diags(scale)
     x = scale * lsmr(
         a,
         y,

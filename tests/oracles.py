@@ -140,9 +140,7 @@ def dense_ridge_fit(grid, measurements, ridge: float) -> np.ndarray:
 
     Column i of the design matrix is the merge-traversal integral of the
     i-th unit field along every link (the integral is linear in the field).
-    With ridge > 0 the normal equations (A^T A + ridge I) x = A^T y are
-    solved directly; with ridge = 0 the answer is pinv(A) @ y, the
-    minimum-norm least-squares solution.
+    The normal equations (A^T A + ridge I) x = A^T y are solved directly.
     """
     n = grid.num_points
     a = np.zeros((len(measurements), n))
@@ -153,8 +151,6 @@ def dense_ridge_fit(grid, measurements, ridge: float) -> np.ndarray:
         for j, m in enumerate(measurements):
             a[j, i] = merge_traversal_integral(unit, grid, m.tx.as_tuple(), m.rx.as_tuple())
     y = np.array([m.shadow_db for m in measurements])
-    if ridge == 0:
-        return np.linalg.pinv(a) @ y
     return np.linalg.solve(a.T @ a + ridge * np.eye(n), a.T @ y)
 
 
@@ -331,26 +327,28 @@ def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.nd
     return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
 
 
-def solve_placement_reference(values: np.ndarray, r_min: float, config, tau: float):
+def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
     """Reweighted placement composed from public calls only.
 
     ``admm_solve`` rounds warm-started from the previous round's (Z, U,
     rho), ``reweight`` scaled to a largest weight of 1, then
     ``greedy_cover_from_scores`` started from the columns whose sup-norm
-    exceeds ``tau * r_min``. Every call prepares the matrix afresh. Returns
-    (selected, objective trace, iterations, converged). Greedy ends at the
-    same set from any such start, so the library, which starts it from the
-    empty set, must agree for every ``tau``.
+    exceeds ``tau * r_min``. Every call prepares the matrix afresh, and the
+    settings are the placement module's constants as they are at the call.
+    Returns (selected, objective trace, iterations, converged). Greedy ends
+    at the same set from any such start, so the library, which starts it
+    from the empty set, must agree for every ``tau``.
     """
+    from absplace import placement
     from absplace.placement import admm_solve, greedy_cover_from_scores, reweight
 
     w = np.ones(values.shape[1])
-    rho, z0, u0 = config.rho, None, None
+    rho, z0, u0 = placement._RHO, None, None
     traces, offset, converged = [], 0, True
-    for _ in range(config.reweight_rounds):
+    for _ in range(placement._ROUNDS):
         state = admm_solve(
-            values, r_min, rho=rho, w=w, max_iter=config.max_iter,
-            eps_abs=config.eps_abs, eps_rel=config.eps_rel, z0=z0, u0=u0,
+            values, r_min, rho=rho, w=w, max_iter=placement._MAX_ITER,
+            eps_abs=placement._EPS_ABS, eps_rel=placement._EPS_REL, z0=z0, u0=u0,
         )
         trace = state.trace.copy()
         trace[:, 0] += offset
@@ -358,7 +356,7 @@ def solve_placement_reference(values: np.ndarray, r_min: float, config, tau: flo
         offset += state.iterations
         converged = converged and state.converged
         rho, z0, u0 = state.rho, state.Z, state.U
-        w = reweight(state.R, r_min, config.reweight_eps)
+        w = reweight(state.R, r_min, placement._REWEIGHT_EPS)
         w /= w.max()
     scores = np.abs(state.R).max(axis=0)
     initial = np.flatnonzero(scores > tau * r_min)

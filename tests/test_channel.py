@@ -7,7 +7,6 @@ from absplace import (
     CapacityMatrix,
     ChannelParams,
     DomainError,
-    EmptyProblemError,
     Point3,
     RegularGrid3,
     Segment3,
@@ -16,7 +15,6 @@ from absplace import (
     capacity_bps,
     gain_db,
     noise_power_from_dbm,
-    prune_zero_columns,
     shadowing_line_integral,
     traverse_voxels,
 )
@@ -162,42 +160,6 @@ class TestCapacityMatrix:
         cands = [Point3(*rng.uniform(5, 115, 3)) for _ in range(4)]
         cm = build_capacity_matrix(p, users, cands, slf)
         assert np.all(np.isfinite(cm.values)) and np.all(cm.values >= 0)
-
-
-class TestPrune:
-    def make(self, values):
-        values = np.asarray(values, dtype=float)
-        users = tuple(Point3(m, 0, 0) for m in range(values.shape[0]))
-        cands = tuple(Point3(g, 1, 0) for g in range(values.shape[1]))
-        return CapacityMatrix(values, users, cands)
-
-    def test_no_zero_columns_identity(self):
-        cm = self.make([[1.0, 2.0], [3.0, 4.0]])
-        pruned, kept = prune_zero_columns(cm)
-        np.testing.assert_array_equal(kept, [0, 1])
-        np.testing.assert_array_equal(pruned.values, cm.values)
-
-    def test_single_zero_column_removed(self):
-        cm = self.make([[1.0, 0.0, 2.0, 3.0], [1.0, 0.0, 2.0, 3.0]])
-        pruned, kept = prune_zero_columns(cm)
-        np.testing.assert_array_equal(kept, [0, 2, 3])
-        assert pruned.num_candidates == 3
-        assert pruned.candidates[1] == cm.candidates[2]
-
-    def test_strictly_positive_unchanged_at_zero_threshold(self):
-        cm = self.make([[0.5, 0.25], [0.125, 2.0]])
-        pruned, kept = prune_zero_columns(cm, threshold=0.0)
-        assert pruned.num_candidates == 2
-
-    def test_positive_threshold(self):
-        cm = self.make([[1.0, 0.2, 2.0], [0.5, 0.3, 2.0]])
-        pruned, kept = prune_zero_columns(cm, threshold=0.4)
-        np.testing.assert_array_equal(kept, [0, 2])
-
-    def test_all_pruned_raises(self):
-        cm = self.make([[0.0, 0.0]])
-        with pytest.raises(EmptyProblemError):
-            prune_zero_columns(cm)
 
 
 def test_capacity_csv_export(tmp_path):

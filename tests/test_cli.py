@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from absplace import PlacementConfig, ScenarioParams, load_config
+from absplace import ScenarioParams, load_config, placement
 from absplace.cli import main
 from absplace.config import OutputConfig
 
@@ -110,8 +110,9 @@ class TestPlace:
         assert len(trace) > 1
 
 
-    def test_non_convergence_warns_on_stderr(self, tmp_path):
-        res = run_cli(["place", *SMALL, "-O", "solver.max_iter=1", "-o", str(tmp_path / "out")])
+    def test_non_convergence_warns_on_stderr(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(placement, "_MAX_ITER", 1)
+        res = run_cli(["place", *SMALL, "-o", str(tmp_path / "out")])
         assert res.exit_code == 0
         assert "warning: admm_solve stopped at max_iter = 1 without converging" in res.stderr
         assert "warning" not in res.stdout
@@ -185,13 +186,21 @@ class TestOracle:
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
-        # the three solver keys are removed options: configs still setting them must fail
-        for section, key in (("channel", "bogus_key"), ("solver", "bisect_max_iter"),
-                             ("solver", "extract_from"), ("solver", "select_threshold")):
-            cfg = write_config(tmp_path, f"{section}:\n  {key}: 1\n")
-            res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
-            assert res.exit_code == 1
-            assert key in res.output
+        cfg = write_config(tmp_path, "channel:\n  bogus_key: 1\n")
+        res = run_cli(["map", "-c", cfg, "--tx", "1,1,0", "--rx", "2,2,2"])
+        assert res.exit_code == 1
+        assert "bogus_key" in res.output
+
+    def test_solver_section_rejected(self, tmp_path):
+        # the solver settings are constants: a config still setting one must fail
+        keys = ("rho", "max_iter", "reweight_rounds", "reweight_eps", "bisect_max_iter")
+        cfg = write_config(tmp_path, "solver:\n" + "".join(f"  {key}: 1\n" for key in keys))
+        res = run_cli(["place", "-c", cfg, *SMALL, "-o", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert res.output == "config error: unknown top-level sections: ['solver']\n"
+        res = run_cli(["place", *SMALL, "-O", "solver.max_iter=1", "-o", str(tmp_path / "out")])
+        assert res.exit_code == 1
+        assert res.output == "config error: override section 'solver' unknown\n"
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -201,15 +210,22 @@ class TestConfigHandling:
             (["scenario.slf_dims=[0,10,6]"], "scenario: grid dims"),
             (["scenario.flight_dims=[5,0,3]"], "scenario: grid dims"),
             (["scenario.area_m=[-500,400]"], "scenario: area"),
-            (["solver.reweight_eps=0"], "solver: reweight_eps"),
+            (["scenario.building_height_m=.nan"], "scenario: lengths, heights and absorption"),
             (["experiment.sweep=num_users", "experiment.values=[2.7]"], "experiment: num_users"),
             (["experiment.values=[-1.0]"], "experiment: min_rate"),
             # values that cannot be read as the key's type
-            (["solver.rho=true"], "solver.rho: cannot read True"),
+            (['channel.min_rate_bps="6e6"'], "channel.min_rate_bps: cannot read '6e6'"),
             (["scenario.area_m=[true,400]"], "scenario.area_m: cannot read"),
-            (["solver.max_iter=.inf"], "solver.max_iter: cannot read"),
+            (['scenario.num_users="7"'], "scenario.num_users: cannot read '7'"),
             # repeated sweep points, which the summary would count once per copy
             (["experiment.values=[2.0e6,2.0e6]"], "experiment: sweep values must be distinct"),
+            # non-finite lengths, which would fail only while building the city
+            (["scenario.absorption_db_per_m=.inf"], "scenario: lengths, heights and absorption"),
+            (["scenario.slf_top_m=.inf"], "scenario: lengths, heights and absorption"),
+            (["scenario.area_m=[.inf,400]"], "scenario: lengths, heights and absorption"),
+            # strings, which are not numbers for float keys either
+            (['scenario.area_m=["500",400]'], "scenario.area_m: cannot read"),
+            (['experiment.values=["2e6"]'], "experiment.values: cannot read"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):
@@ -223,15 +239,8 @@ class TestConfigHandling:
         block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
         defaults = load_config(None)
         assert load_config(write_config(tmp_path, block)) == defaults
-        assert defaults.solver == PlacementConfig()
         assert defaults.scenario == ScenarioParams()
         assert defaults.output == OutputConfig()
-
-    def test_zero_max_iter_is_config_error(self):
-        res = run_cli(["place", *SMALL, "-O", "solver.max_iter=0"])
-        assert res.exit_code == 1
-        assert "solver:" in res.output
-        assert "max_iter" in res.output
 
     def test_wavelength_frequency_exclusive(self, tmp_path):
         cfg = write_config(tmp_path, "channel:\n  wavelength_m: 0.125\n  frequency_hz: 2.4e9\n")

