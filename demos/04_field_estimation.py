@@ -41,7 +41,7 @@ measurements = [Measurement(s.a, s.b, float(xi)) for s, xi in zip(links, shadowi
 print(f"{len(measurements)} noiseless link measurements over a "
       f"{grid.dims[0]}x{grid.dims[1]}x{grid.dims[2]} voxel field")
 
-estimate = estimate_slf(measurements, grid, ridge=1e-6)
+estimate = estimate_slf(measurements, grid)
 err = np.abs(estimate.values - truth.values)
 print(f"worst absolute voxel error: {err.max():.2e} dB/m")
 print(f"mean absolute voxel error:  {err.mean():.2e} dB/m")

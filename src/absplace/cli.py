@@ -14,15 +14,14 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .channel import build_capacity_matrix, capacity_bps, gain_db
+from .channel import capacity_bps, gain_db
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, GuardError, InfeasibleError
 from .geometry import Point3, Segment3
 from .placement import solve_placement, write_trace_csv
 from .reference import exhaustive_min_abs
-from .scenario import build_urban, run_experiment, sample_users, write_runs_csv, write_summary_csv
+from .scenario import build_urban, run_experiment, sample_instance, write_runs_csv, write_summary_csv
 from .tomography import shadowing_ellipsoid_sum, shadowing_line_integral
 
 # Reserve exit code 2 for domain errors; click's default usage-error code
@@ -135,10 +134,7 @@ def cmd_map(config_path, overrides, tx, rx, ellipsoid_width):
 
 def _build_instance(cfg: RunConfig):
     scenario = build_urban(cfg.scenario, cfg.channel)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.experiment.seed, spawn_key=(0,)))
-    users = sample_users(scenario, scenario.num_users, rng)
-    cm = build_capacity_matrix(cfg.channel, users, scenario.flight_points, scenario.slf)
-    return scenario, users, cm
+    return scenario, sample_instance(scenario, cfg.experiment.seed, 0)
 
 
 @main.command("place")
@@ -148,7 +144,7 @@ def _build_instance(cfg: RunConfig):
 def cmd_place(config_path, overrides, out):
     """Solve one placement instance; write JSON result and positions CSV."""
     cfg = load_config(config_path, overrides)
-    scenario, users, cm = _build_instance(cfg)
+    scenario, cm = _build_instance(cfg)
     result = solve_placement(cm, cfg.channel.min_rate)
     out_dir = _out_dir(cfg, out)
 
@@ -195,7 +191,7 @@ def cmd_experiment(config_path, overrides, out):
 def cmd_oracle(config_path, overrides, compare_admm):
     """Exhaustive minimum station count for the configured (small) instance."""
     cfg = load_config(config_path, overrides)
-    scenario, users, cm = _build_instance(cfg)
+    _, cm = _build_instance(cfg)
     n_star, witness = exhaustive_min_abs(cm, cfg.channel.min_rate)
     payload = {"n_star": n_star, "witness": list(witness)}
     if compare_admm:

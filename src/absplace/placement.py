@@ -11,25 +11,22 @@ candidates remain active.
 The splitting keeps the column slack structure in one block (X-step: per
 column, a quadratic prox under r <= s * 1 plus a linear slack cost) and the
 row constraints in the other (Z-step: per row, projection onto the
-fixed-sum box). Both per-block solutions reduce to finding the root of a
-piecewise-linear nonincreasing scalar function whose root lies inside an
-analytic bracket:
+fixed-sum box). Both per-block solutions reduce to the root of a
+piecewise-linear nonincreasing scalar function:
 
-  X-step, column g: find s with sum_m max((z - u)_m - s, 0) = w_g / rho,
-      bracketed by min/max of (z - u) minus w_g / (M rho); then
-      r = min(z - u, s * 1). With w_g = 0 the slack constraint is inactive
-      and r = z - u exactly.
+  X-step, column g: find s with sum_m max((z - u)_m - s, 0) = w_g / rho;
+      then r = min(z - u, s * 1). With w_g = 0 the slack constraint is
+      inactive and r = z - u exactly.
 
   Z-step, row m: find lam with sum_g max(0, min(c_g, (r + u)_g - lam)) =
-      r_min, bracketed below by min_g((r + u - c)_g) and above by
-      max over {g : c_g > r_min / G} of (r + u)_g - r_min / G; then
-      z = max(0, min(c, r + u - lam)). Rows with total capacity below
-      r_min are infeasible.
+      r_min; then z = max(0, min(c, r + u - lam)). Rows with total
+      capacity below r_min are infeasible.
 
-Both roots are computed exactly from the sorted breakpoints in O(n log n)
-per column or row: the X-step takes the last active prefix of the
-descending column and its cumulative sum, as in simplex projection (Duchi
-et al. 2008); the Z-step scans the cumulative slope over the 2G sorted
+Both functions change slope only at known breakpoints, so each root is
+exact, with no iteration, from the sorted breakpoints in O(n log n) per
+column or row: the X-step takes the last active prefix of the descending
+column and its cumulative sum, as in simplex projection (Duchi et al.
+2008); the Z-step scans the cumulative slope over the 2G sorted
 breakpoints {b - c, b} of the row and interpolates inside the segment where
 the function crosses r_min (Condat 2016). That sort need not be stable:
 tied breakpoints bound zero-width segments, so the order of ties changes no
@@ -60,8 +57,9 @@ one per round.
 
 The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
 rates are scaled to the target and residual balancing adapts rho, so one
-set serves every instance. ``admm_solve`` and ``reweight`` default their
-keyword arguments to them.
+set serves every instance. ``admm_solve`` defaults its keyword arguments to
+them and ``reweight`` reads ``_REWEIGHT_EPS``. Every entry point takes the
+target rate under one rule: finite and positive, else ValueError.
 """
 
 from __future__ import annotations
@@ -122,13 +120,13 @@ class AdmmState:
     row_sum_max_dev is the worst row-sum violation of Z seen at any
     iteration, in rate units. rho is the final step, after residual
     balancing, and the scaled dual U is at that step, so (Z, U, rho)
-    warm-starts a further solve.
+    warm-starts a further solve. The state does not keep the weights: they
+    are the caller's ``w``.
     """
 
     R: np.ndarray
     Z: np.ndarray
     U: np.ndarray
-    w: np.ndarray
     rho: float
     iterations: int
     converged: bool
@@ -331,7 +329,7 @@ class _Coverage:
         return np.flatnonzero(short)
 
     def covers(self, members, totals: np.ndarray) -> bool:
-        """True iff every row covers; ``members`` must not be empty."""
+        """True iff every row covers."""
         if (totals > self.hi).all():
             return True
         if (totals < self.lo).any():
@@ -351,11 +349,6 @@ def _coverage_rule(C, r_min: float) -> _Coverage:
     if values.shape[0] == 0:
         raise EmptyProblemError("capacity matrix has no users to cover")
     return _Coverage(values, r_min)
-
-
-def _check_finite_target(r_min: float) -> None:
-    if not math.isfinite(r_min):
-        raise ValueError(f"target rate must be finite, got {r_min}")
 
 
 def _check_target(r_min: float) -> None:
@@ -514,7 +507,6 @@ def admm_solve(
         R=R[:, invert] * r_min,
         Z=Z[:, invert] * r_min,
         U=U[:, invert] * r_min,
-        w=w[invert].copy(),
         rho=rho,
         iterations=iterations,
         converged=converged,
@@ -523,15 +515,14 @@ def admm_solve(
     )
 
 
-def reweight(R: np.ndarray, r_min: float, eps: float = _REWEIGHT_EPS) -> np.ndarray:
-    """Next sparsity weights: w_g = 1 / (eps + ||R[:, g]||_inf / r_min).
+def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
+    """Next sparsity weights: w_g = 1 / (_REWEIGHT_EPS + ||R[:, g]||_inf / r_min).
 
-    Column magnitudes are normalized by the target rate so eps is
-    scale-free; larger columns get strictly smaller weights.
+    Column magnitudes are normalized by the target rate so the constant
+    ``_REWEIGHT_EPS`` is scale-free; larger columns get strictly smaller
+    weights.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return 1.0 / (eps + np.abs(R).max(axis=0) / r_min)
+    return 1.0 / (_REWEIGHT_EPS + np.abs(R).max(axis=0) / r_min)
 
 
 def covers(values: np.ndarray, subset, r_min: float) -> bool:
@@ -541,14 +532,11 @@ def covers(values: np.ndarray, subset, r_min: float) -> bool:
     against r_min, so it cannot depend on the order the columns are listed
     in. Float row totals decide every row outside a rigorous rounding band
     around r_min; only rows inside it are summed with ``math.fsum``. A
-    column listed twice counts twice; the empty set covers iff r_min <= 0.
-    A NaN or infinite r_min raises ValueError.
+    column listed twice counts twice, and the empty set covers no one.
+    Raises ValueError unless r_min is finite and positive.
     """
-    _check_finite_target(r_min)
-    subset = list(subset)
-    if not subset:
-        return bool(r_min <= 0)
-    sub = values[:, subset]
+    _check_target(r_min)
+    sub = values[:, list(subset)]
     return _Coverage(sub, r_min).covers(slice(None), sub.sum(axis=1))
 
 
@@ -563,7 +551,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     the candidates reorders the output set identically. The column index is
     the final fallback, relevant only for byte-identical duplicate columns.
     Assumes the full column set covers; raises EmptyProblemError on a
-    matrix with no users and ValueError on a NaN or infinite r_min.
+    matrix with no users and ValueError unless r_min is finite and positive.
     Coverage grows with the set, the columns above any score cut are a
     prefix of the add order and the prune order is its reverse, so
     starting from them ends where the empty start does.
@@ -575,7 +563,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     ``solve_placement`` passes its prepared instance in place of the
     matrix, so the rule and the ranks come from the placement's set-up.
     """
-    _check_finite_target(r_min)
+    _check_target(r_min)
     if isinstance(values, _Instance):
         values, rule, rank = values.values, values.rule, values.rank
     else:
@@ -588,26 +576,20 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     members = np.zeros(n, dtype=bool)
     members[selected] = True
     totals = values[:, selected].sum(axis=1)
-
-    def covered(totals, size):
-        # `totals` sums the `size` columns in `members`; the empty set as in `covers`
-        return rule.covers(members, totals) if size else bool(r_min <= 0)
-
-    if not covered(totals, len(selected)):
+    if not rule.covers(members, totals):
         remaining = np.flatnonzero(~members).tolist()
         remaining.sort(key=lambda g: (-scores[g], rank[g], g))
         for g in remaining:
             selected.append(g)
             members[g] = True
             totals = totals + values[:, g]
-            if covered(totals, len(selected)):
+            if rule.covers(members, totals):
                 break
-    size = len(selected)
     for g in sorted(selected, key=lambda g: (scores[g], -rank[g], -g)):
         members[g] = False
         trial = totals - values[:, g]
-        if covered(trial, size - 1):
-            totals, size = trial, size - 1
+        if rule.covers(members, trial):
+            totals = trial
         else:
             members[g] = True
     return np.flatnonzero(members).tolist()
@@ -646,14 +628,14 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
         all_converged = all_converged and state.converged
         # U is scaled by the final rho, so the next round resumes at that step.
         rho, z0, u0 = state.rho, state.Z, state.U
-        w = reweight(state.R, r_min, _REWEIGHT_EPS)
+        w = reweight(state.R, r_min)
         # Rescaling all weights leaves the argmin unchanged but keeps the
         # slack costs commensurate with rho, which conditions the iteration.
         w /= w.max()
 
     scores = np.abs(state.R).max(axis=0)
     selected = greedy_cover_from_scores(inst, r_min, scores, ())
-    rates = values[:, selected].sum(axis=1) if selected else np.zeros(values.shape[0])
+    rates = values[:, selected].sum(axis=1)
     positions = tuple(C.candidates[g] for g in selected) if isinstance(C, CapacityMatrix) else ()
     return PlacementResult(
         selected=tuple(selected),

@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentResult",
     "build_urban",
     "sample_users",
+    "sample_instance",
     "run_experiment",
     "write_runs_csv",
     "write_summary_csv",
@@ -113,6 +114,14 @@ def _building_strips(length: float, n_streets: int) -> list[tuple[float, float]]
     return [(k * width, (k + 1) * width) for k in range(1, n, 2)]
 
 
+def _in_boxes(points: np.ndarray, boxes) -> np.ndarray:
+    """Mask of the rows of ``points`` (N x 3) inside any of the closed boxes."""
+    inside = np.zeros(len(points), dtype=bool)
+    for box in boxes:
+        inside |= np.all((points >= box.lo.as_array()) & (points <= box.hi.as_array()), axis=1)
+    return inside
+
+
 def build_urban(params: ScenarioParams, channel: ChannelParams) -> UrbanScenario:
     """Construct the environment: buildings, loss field, filtered flight grid."""
     lx, ly = params.area
@@ -128,12 +137,7 @@ def build_urban(params: ScenarioParams, channel: ChannelParams) -> UrbanScenario
     slf_grid = RegularGrid3(
         Point3(spacing[0] / 2, spacing[1] / 2, spacing[2] / 2), spacing, (qx, qy, qz)
     )
-    pts = slf_grid.points_array()
-    inside = np.zeros(len(pts), dtype=bool)
-    for box in buildings:
-        lo = box.lo.as_array()
-        hi = box.hi.as_array()
-        inside |= np.all((pts >= lo) & (pts <= hi), axis=1)
+    inside = _in_boxes(slf_grid.points_array(), buildings)
     slf = SlfField(slf_grid, (params.absorption_db_per_m * inside).reshape(qx, qy, qz))
 
     gx, gy, gz = params.flight_dims
@@ -148,12 +152,7 @@ def build_urban(params: ScenarioParams, channel: ChannelParams) -> UrbanScenario
         oz = 0.5 * (z_lo + z_hi)
     flight_grid = RegularGrid3(Point3(fx / 2, fy / 2, oz), (fx, fy, fz), (gx, gy, gz))
     fpts = flight_grid.points_array()
-    blocked = np.zeros(len(fpts), dtype=bool)
-    for box in buildings + tuple(params.no_fly):
-        lo = box.lo.as_array()
-        hi = box.hi.as_array()
-        blocked |= np.all((fpts >= lo) & (fpts <= hi), axis=1)
-    allowed = np.flatnonzero(~blocked)
+    allowed = np.flatnonzero(~_in_boxes(fpts, buildings + tuple(params.no_fly)))
     if allowed.size == 0:
         raise EmptyProblemError("no allowed flight-grid points remain after filtering")
     flight_points = tuple(Point3(*fpts[i]) for i in allowed)
@@ -196,6 +195,18 @@ def sample_users(scenario: UrbanScenario, m: int | None = None, rng=0) -> tuple[
         if on_street(scenario, x, y):
             users.append(Point3(x, y, z))
     return tuple(users)
+
+
+def sample_instance(scenario: UrbanScenario, seed: int, rep: int) -> CapacityMatrix:
+    """Capacity matrix of repetition ``rep`` of a seeded experiment.
+
+    Its users come from their own stream, SeedSequence(entropy=seed,
+    spawn_key=(rep,)), so a repetition draws the same users whatever the
+    sweep value or the other repetitions.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+    users = sample_users(scenario, scenario.num_users, rng)
+    return build_capacity_matrix(scenario.channel, users, scenario.flight_points, scenario.slf)
 
 
 @dataclass(frozen=True)
@@ -283,9 +294,7 @@ def _solve_one(name: str, cm: CapacityMatrix, r_min: float):
 
 
 def _run_repetition(spec: ExperimentSpec, scenario: UrbanScenario, value, rep: int):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(rep,)))
-    users = sample_users(scenario, scenario.num_users, rng)
-    cm = build_capacity_matrix(scenario.channel, users, scenario.flight_points, scenario.slf)
+    cm = sample_instance(scenario, spec.seed, rep)
     records = []
     for name in spec.solvers:
         start = time.perf_counter()

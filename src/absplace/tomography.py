@@ -375,38 +375,34 @@ def _design_matrix(measurements, grid: RegularGrid3) -> sparse.csr_matrix:
     return mat
 
 
-def estimate_slf(
-    measurements,
-    grid: RegularGrid3,
-    ridge: float = 1e-6,
-    clip_negative: bool = True,
-) -> SlfField:
+# The estimator's ridge weight: small next to a crossed voxel's squared
+# column norm, so the fit there stays at its least-squares value.
+_RIDGE = 1e-6
+
+
+def estimate_slf(measurements, grid: RegularGrid3) -> SlfField:
     """Fit a loss field to observed shadowing values by ridge least squares.
 
-    Minimizes sum_j (predicted_j - observed_j)^2 + ridge * ||field||^2 where
-    the prediction is the traversal line integral, linear in the field; its
-    sparse design matrix A comes from the batched kernel of
+    Minimizes sum_j (predicted_j - observed_j)^2 + _RIDGE * ||field||^2
+    where the prediction is the traversal line integral, linear in the
+    field; its sparse design matrix A comes from the batched kernel of
     ``line_integrals``, one row of interval weights per link.
 
-    The ridge must be finite and positive. The rows sqrt(ridge) * I are
-    stacked under A and zeros under the observations, which leaves the
-    objective exactly as above. Every column of the stacked matrix is then
-    scaled to unit norm (each norm is at least sqrt(ridge)) before ``lsmr``
-    runs, and the result is unscaled. This Jacobi preconditioning evens out
-    the column norms of a survey whose voxels are crossed very unevenly, and
-    cuts the iteration count about tenfold on city-sized surveys. Voxels no
-    link crosses come out 0.
-
-    Negative fitted values are clipped to zero by default since physical
-    absorption is nonnegative.
+    The rows sqrt(_RIDGE) * I are stacked under A and zeros under the
+    observations, which leaves the objective exactly as above. Every column
+    of the stacked matrix is then scaled to unit norm (each norm is at least
+    sqrt(_RIDGE)) before ``lsmr`` runs, and the result is unscaled. This
+    Jacobi preconditioning evens out the column norms of a survey whose
+    voxels are crossed very unevenly, and cuts the iteration count about
+    tenfold on city-sized surveys. Voxels no link crosses come out 0, and
+    negative fitted values are clipped to 0, since physical absorption is
+    nonnegative.
     """
     measurements = list(measurements)
     if not measurements:
         raise ValueError("at least one measurement is required")
-    if not (ridge > 0 and math.isfinite(ridge)):
-        raise ValueError(f"ridge must be finite and positive, got {ridge}")
     a = _design_matrix(measurements, grid)
-    a = sparse.vstack([a, math.sqrt(ridge) * sparse.identity(grid.num_points)], format="csr")
+    a = sparse.vstack([a, math.sqrt(_RIDGE) * sparse.identity(grid.num_points)], format="csr")
     y = np.array([m.shadow_db for m in measurements], dtype=float)
     y = np.concatenate([y, np.zeros(grid.num_points)])
     scale = 1.0 / sparse.linalg.norm(a, axis=0)
@@ -419,8 +415,7 @@ def estimate_slf(
         conlim=1e14,
         maxiter=50 * (grid.num_points + len(measurements)),
     )[0]
-    if clip_negative:
-        np.maximum(x, 0.0, out=x)
+    np.maximum(x, 0.0, out=x)
     return SlfField(grid, x.reshape(grid.dims))
 
 

@@ -271,10 +271,7 @@ def random_feasible_instance(rng, m_max=4, g_max=10, scale_choices=(1.0, 5e6)):
 
 def fsum_covers(values: np.ndarray, subset, r_min: float) -> bool:
     """Coverage by the definition: math.fsum of each row's selected entries."""
-    subset = list(subset)
-    if not subset:
-        return r_min <= 0
-    return all(math.fsum(row) >= r_min for row in values[:, subset])
+    return all(math.fsum(row) >= r_min for row in values[:, list(subset)])
 
 
 def greedy_cover_reference(values: np.ndarray, r_min: float, scores, selected) -> list[int]:
@@ -356,7 +353,7 @@ def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
         offset += state.iterations
         converged = converged and state.converged
         rho, z0, u0 = state.rho, state.Z, state.U
-        w = reweight(state.R, r_min, placement._REWEIGHT_EPS)
+        w = reweight(state.R, r_min)
         w /= w.max()
     scores = np.abs(state.R).max(axis=0)
     initial = np.flatnonzero(scores > tau * r_min)

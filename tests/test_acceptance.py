@@ -334,7 +334,7 @@ def test_criterion_09_slf_estimation_round_trip():
                 counts[tuple(voxel)] += 1
         measurements.append(Measurement(seg.a, seg.b, shadowing_line_integral(truth, seg)))
     assert np.all(counts >= 3), "measurement set must cross every voxel >= 3 times"
-    estimate = estimate_slf(measurements, grid, ridge=1e-6)
+    estimate = estimate_slf(measurements, grid)
     rel_err = np.abs(estimate.values - truth.values) / truth.values
     assert rel_err.max() < 1e-3, f"worst voxel error {rel_err.max():.2e}"
 

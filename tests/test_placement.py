@@ -334,18 +334,18 @@ class TestAdmm:
 
 class TestReweight:
     def test_zero_matrix_uniform(self):
-        w = reweight(np.zeros((3, 4)), r_min=5e6, eps=1e-3)
+        w = reweight(np.zeros((3, 4)), r_min=5e6)
         np.testing.assert_allclose(w, 1e3)
 
     def test_unit_column_norm(self):
         r = np.zeros((2, 3))
         r[0, 1] = 5e6
-        w = reweight(r, r_min=5e6, eps=1e-3)
+        w = reweight(r, r_min=5e6)
         assert w[1] == pytest.approx(1.0 / (1.0 + 1e-3), rel=1e-12)
 
     def test_monotone_in_column_norm(self):
         r = np.array([[1.0, 2.0, 0.5]])
-        w = reweight(r, r_min=1.0, eps=1e-3)
+        w = reweight(r, r_min=1.0)
         assert w[1] < w[0] < w[2]
 
 
@@ -522,6 +522,10 @@ class TestCoverageRule:
             g = values.shape[1]
             scores = np.round(rng.uniform(0.0, 1.0, g) * 3.0) / 3.0
             initial = self._initial(rng, g)
+            if r_min <= 0:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    greedy_cover_from_scores(values, r_min, scores, initial)
+                continue
             assert greedy_cover_from_scores(values, r_min, scores, initial) == greedy_cover_reference(
                 values, r_min, scores, initial
             )
@@ -540,6 +544,10 @@ class TestCoverageRule:
                 values = np.concatenate([values, values[:, dup]], axis=1)
             g = values.shape[1]
             scores = np.round(rng.uniform(0.0, 1.0, g) * 3.0) / 3.0  # many exact ties
+            if r_min <= 0:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    greedy_cover_from_scores(values, r_min, scores, ())
+                continue
             want = greedy_cover_from_scores(values, r_min, scores, ())
             for tau in (-np.inf, *np.unique(scores)):
                 initial = np.flatnonzero(scores > tau)
@@ -550,6 +558,10 @@ class TestCoverageRule:
         for _ in range(400):
             values, r_min = _near_threshold_instance(rng)
             subset = np.flatnonzero(rng.random(values.shape[1]) < 0.7).tolist()
+            if r_min <= 0:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    covers(values, subset, r_min)
+                continue
             assert covers(values, subset, r_min) == fsum_covers(values, subset, r_min)
 
     def test_tiny_entries_decided_exactly(self):
@@ -580,9 +592,11 @@ class TestCoverageRule:
 
     def test_empty_set(self):
         values = np.array([[0.0, 2.0]])
-        assert covers(values, [], 0.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            covers(values, [], 0.0)
         assert not covers(values, [], 1.0)
-        assert greedy_cover_from_scores(values, 0.0, [1.0, 2.0], [0, 1]) == []
+        with pytest.raises(ValueError, match="finite and positive"):
+            greedy_cover_from_scores(values, 0.0, [1.0, 2.0], [0, 1])
         assert greedy_cover_from_scores(values, 1.0, [1.0, 2.0], []) == [1]
 
     @pytest.mark.parametrize("r_min", [math.nan, math.inf, -math.inf])

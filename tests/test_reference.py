@@ -274,11 +274,19 @@ def test_one_dimensional_matrix_is_a_value_error(solve):
         solve(np.array([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("solve", TARGET_SOLVERS.values(), ids=TARGET_SOLVERS.keys())
+TARGET_ENTRIES = {
+    **TARGET_SOLVERS,
+    "covers": lambda values, r_min: covers(values, [0, 1], r_min),
+    "greedy": lambda values, r_min: greedy_cover_from_scores(values, r_min, [1.0, 2.0], []),
+}
+
+
+@pytest.mark.parametrize("solve", TARGET_ENTRIES.values(), ids=TARGET_ENTRIES.keys())
 @pytest.mark.parametrize("r_min", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
 def test_target_must_be_finite_and_positive(solve, r_min):
     # at zero solve_placement used to run 40,000 NaN iterations into an
-    # empty "feasible" placement; at -1 the solvers disagreed
+    # empty "feasible" placement; at -1 the solvers disagreed; covers and
+    # greedy used to give a target <= 0 a meaning of their own
     with pytest.raises(ValueError, match="target rate must be finite and positive"):
         solve(np.array([[2.0, 0.5], [0.3, 1.5]]), r_min)
 
