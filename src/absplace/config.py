@@ -15,10 +15,9 @@ applied to the raw document before validation, so flag > file > default.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-
-import yaml
 
 from .channel import SPEED_OF_LIGHT, ChannelParams, noise_power_from_dbm
 from .errors import ConfigError
@@ -43,17 +42,25 @@ class RunConfig:
     output: OutputConfig
 
 
-class _Loader(yaml.SafeLoader):
-    """YAML 1.1's float needs a dot and a signed exponent, so PyYAML reads
+@functools.cache
+def _loader():
+    """The YAML loader class, built on first use so that a run with no
+    config file and no override never imports PyYAML.
+
+    YAML 1.1's float needs a dot and a signed exponent, so PyYAML reads
     2e6 and 5.0e6 as strings; this loader reads them as the floats of
     YAML 1.2. A quoted value stays a string."""
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return Loader
 
 
 def _read(kind, value):
@@ -192,8 +199,10 @@ def _apply_overrides(doc: dict, overrides) -> dict:
         section, key = parts
         if section not in _SECTIONS:
             raise ConfigError(f"override section {section!r} unknown")
+        import yaml
+
         try:
-            value = yaml.load(text, Loader=_Loader)
+            value = yaml.load(text, Loader=_loader())
         except yaml.YAMLError:
             raise ConfigError(f"cannot parse override value {text!r}") from None
         doc.setdefault(section, {})
@@ -212,8 +221,10 @@ def load_config(path=None, overrides=()) -> RunConfig:
     if path is None:
         doc = {}
     else:
+        import yaml
+
         with open(path) as fh:
-            doc = yaml.load(fh, Loader=_Loader) or {}
+            doc = yaml.load(fh, Loader=_loader()) or {}
         if not isinstance(doc, dict):
             raise ConfigError("configuration root must be a mapping")
     doc = _apply_overrides(dict(doc), overrides)

@@ -262,12 +262,13 @@ def x_step_column(z_col, u_col, w_g: float, rho: float):
     The slack solves sum(max(z - u - s, 0)) = w_g / rho; the rate column
     is min(z - u, s). The root is found exactly from the sorted column.
     For w_g = 0 the column is returned unchanged (r = z - u) and the slack
-    reported as its maximum entry.
+    reported as its maximum entry. Raises ValueError unless rho is finite
+    and positive and w_g finite and nonnegative.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if w_g < 0:
-        raise ValueError(f"weight must be nonnegative, got {w_g}")
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be finite and positive, got {rho}")
+    if not (w_g >= 0 and math.isfinite(w_g)):
+        raise ValueError(f"weight must be finite and nonnegative, got {w_g}")
     z = np.asarray(z_col, dtype=float).reshape(-1, 1)
     u = np.asarray(u_col, dtype=float).reshape(-1, 1)
     R, s = _XStep(np.array([float(w_g)]), z.shape[0], rho)(z - u)
@@ -424,8 +425,9 @@ def admm_solve(
     ``max_iter`` iterations, which must be at least 1; stopping there
     logs one warning on the ``absplace`` logger.
 
-    ``rho`` is the initial step, finite and positive. Every 10 iterations
-    up to iteration 1,000, residual balancing doubles it (and halves the
+    ``rho`` is the initial step, finite and positive, and the weights ``w``
+    (all ones by default) are finite and nonnegative. Every 10 iterations
+    up to iteration 1,000, residual balancing doubles rho (and halves the
     scaled U) when the primal residual exceeds 10 times the dual one, and
     does the reverse when the dual residual exceeds 10 times the primal
     one; after that rho is fixed, which keeps the fixed-step convergence
@@ -451,8 +453,8 @@ def admm_solve(
     inst = C if isinstance(C, _Instance) else _Instance(C, r_min)
     m, g = inst.values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
-    if w.shape != (g,) or np.any(w < 0):
-        raise ValueError("w must be a nonnegative G-vector")
+    if w.shape != (g,) or not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("w must be a finite nonnegative G-vector")
 
     order, invert = inst.order, inst.rank
     w = w[order]
@@ -533,10 +535,12 @@ def covers(values: np.ndarray, subset, r_min: float) -> bool:
     in. Float row totals decide every row outside a rigorous rounding band
     around r_min; only rows inside it are summed with ``math.fsum``. A
     column listed twice counts twice, and the empty set covers no one.
-    Raises ValueError unless r_min is finite and positive.
+    Checks its input as every solver entry does: ValueError unless r_min
+    is finite and positive and the whole matrix is 2-D, finite and
+    nonnegative, and EmptyProblemError when it has no users.
     """
     _check_target(r_min)
-    sub = values[:, list(subset)]
+    sub = _coverage_rule(values, r_min).values[:, list(subset)]
     return _Coverage(sub, r_min).covers(slice(None), sub.sum(axis=1))
 
 

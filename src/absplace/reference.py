@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import sparse
 
 from .errors import GuardError, InfeasibleError
 from .placement import _check_rows_coverable, _check_target, _coverage_rule, greedy_cover_from_scores
@@ -75,8 +74,9 @@ def _solve_highs(c, a_ub, b_ub, bounds, a_eq=None, b_eq=None):
     ``_certify``. Raises InfeasibleError when HiGHS proves the LP infeasible
     and RuntimeError on any other failure.
     """
-    # deferred: scipy.optimize costs about 0.25 s to import, and only the LP
-    # references need it
+    # deferred, as is scipy.sparse in solve_epigraph_lp: scipy.optimize and
+    # scipy.sparse cost about 0.25 s and 0.3 s to import, and only the LP
+    # references need them, so `import absplace` loads neither
     from scipy.optimize import linprog
 
     n = len(c)
@@ -125,6 +125,8 @@ def solve_epigraph_lp(C, r_min: float, w=None):
     correctness oracle for the ADMM path: both optimize the same convex
     problem. As in ``admm_solve``, rates are solved for in units of r_min.
     """
+    from scipy import sparse  # deferred, as linprog is in _solve_highs
+
     values = _check_rows_coverable(C, r_min).values
     m, g = values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import lsmr
 
 from .errors import DomainError
 from .geometry import Point3, RegularGrid3, Segment3, containing_voxel
@@ -357,8 +355,24 @@ def shadowing_ellipsoid_sum(slf: SlfField, seg: Segment3, width: float) -> float
     return float(slf.values.ravel()[mask].sum() / math.sqrt(d))
 
 
-def _design_matrix(measurements, grid: RegularGrid3) -> sparse.csr_matrix:
-    """Sparse linear operator mapping a flattened field to predicted shadowing."""
+def lsmr(*args, **kwargs):
+    """``scipy.sparse.linalg.lsmr``, imported on the first call.
+
+    scipy.sparse.linalg costs about 0.3 s to import, and of this module
+    only the estimator needs it, so ``import absplace`` does not load it.
+    ``estimate_slf`` calls the solver through this module attribute, which
+    a caller may replace to observe or count the solves.
+    """
+    from scipy.sparse.linalg import lsmr as scipy_lsmr
+
+    return scipy_lsmr(*args, **kwargs)
+
+
+def _design_matrix(measurements, grid: RegularGrid3):
+    """Sparse linear operator mapping a flattened field to predicted shadowing,
+    as a ``scipy.sparse.csr_matrix``."""
+    from scipy import sparse
+
     starts = np.array([m.tx.as_tuple() for m in measurements], dtype=float)
     ends = np.array([m.rx.as_tuple() for m in measurements], dtype=float)
     counts, cols, data = [], [], []
@@ -398,6 +412,9 @@ def estimate_slf(measurements, grid: RegularGrid3) -> SlfField:
     negative fitted values are clipped to 0, since physical absorption is
     nonnegative.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import norm
+
     measurements = list(measurements)
     if not measurements:
         raise ValueError("at least one measurement is required")
@@ -405,7 +422,7 @@ def estimate_slf(measurements, grid: RegularGrid3) -> SlfField:
     a = sparse.vstack([a, math.sqrt(_RIDGE) * sparse.identity(grid.num_points)], format="csr")
     y = np.array([m.shadow_db for m in measurements], dtype=float)
     y = np.concatenate([y, np.zeros(grid.num_points)])
-    scale = 1.0 / sparse.linalg.norm(a, axis=0)
+    scale = 1.0 / norm(a, axis=0)
     a = a @ sparse.diags(scale)
     x = scale * lsmr(
         a,

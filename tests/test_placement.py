@@ -618,6 +618,23 @@ def test_config_validation():
             admm_solve(values, r_min, rho=rho)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_weights_and_steps_must_be_finite(bad):
+    # a NaN weight used to run admm_solve all its iterations into a NaN R
+    # with only a warning, an infinite one returned a NaN R at once, and
+    # x_step_column returned NaN for a NaN weight or step
+    values, r_min = random_feasible_instance(np.random.default_rng(33))
+    w = np.ones(values.shape[1])
+    w[0] = bad
+    with pytest.raises(ValueError, match="w must be a finite nonnegative G-vector"):
+        admm_solve(values, r_min, w=w)
+    z, u = np.array([0.4, 1.2]), np.zeros(2)
+    with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
+        x_step_column(z, u, w_g=bad, rho=1.0)
+    with pytest.raises(ValueError, match="rho must be finite and positive"):
+        x_step_column(z, u, w_g=1.0, rho=bad)
+
+
 def test_warm_start_resumes_at_optimum():
     rng = np.random.default_rng(35)
     values, r_min = random_feasible_instance(rng)

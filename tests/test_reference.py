@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import absplace
 from absplace import (
     ChannelParams,
     GuardError,
@@ -242,8 +237,13 @@ TARGET_SOLVERS = {
 ALL_SOLVERS = pytest.mark.parametrize(
     "solve",
     [partial(solve, r_min=1.0) for solve in TARGET_SOLVERS.values()]
-    + [lambda v: greedy_cover_from_scores(v, 1.0, np.ones(v.shape[-1]), [])],
-    ids=[*TARGET_SOLVERS, "greedy"],
+    + [
+        lambda v: greedy_cover_from_scores(v, 1.0, np.ones(v.shape[-1]), []),
+        # only the last column is selected, so a bad entry elsewhere is seen
+        # by the whole-matrix check alone
+        lambda v: covers(v, [v.shape[-1] - 1], 1.0),
+    ],
+    ids=[*TARGET_SOLVERS, "greedy", "covers"],
 )
 
 
@@ -289,19 +289,3 @@ def test_target_must_be_finite_and_positive(solve, r_min):
     # greedy used to give a target <= 0 a meaning of their own
     with pytest.raises(ValueError, match="target rate must be finite and positive"):
         solve(np.array([[2.0, 0.5], [0.3, 1.5]]), r_min)
-
-
-def test_import_defers_scipy_optimize():
-    # scipy.optimize is loaded by the LP references on first use only, so
-    # `import absplace` stays as cheap as the rest of the package
-    src = str(Path(absplace.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, absplace; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
