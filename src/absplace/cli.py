@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import click
 
 from .channel import capacity_bps, gain_db
 from .config import RunConfig, load_config
-from .errors import ConfigError, DomainError, GuardError, InfeasibleError
+from .errors import ConfigError, DomainError, EmptyProblemError, GuardError, InfeasibleError
 from .geometry import Point3, Segment3
 from .placement import solve_placement, write_trace_csv
 from .reference import exhaustive_min_abs
@@ -47,6 +48,9 @@ def _handle_errors(fn):
             sys.exit(4)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
+            sys.exit(1)
+        except EmptyProblemError as exc:
+            click.echo(f"empty problem: {exc}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -111,11 +115,13 @@ def main():
 def cmd_map(config_path, overrides, tx, rx, ellipsoid_width):
     """Shadowing (both methods), gain, and capacity for one link."""
     cfg = load_config(config_path, overrides)
+    width = cfg.channel.wavelength if ellipsoid_width is None else ellipsoid_width
+    if not (width > 0 and math.isfinite(width)):
+        raise ConfigError(f"--ellipsoid-width must be finite and positive, got {width}")
     scenario = build_urban(cfg.scenario, cfg.channel)
     a = _parse_point(tx)
     b = _parse_point(rx)
     seg = Segment3(a, b)
-    width = cfg.channel.wavelength if ellipsoid_width is None else ellipsoid_width
     xi = shadowing_line_integral(scenario.slf, seg)
     xi_ell = shadowing_ellipsoid_sum(scenario.slf, seg, width=width)
     gain = gain_db(cfg.channel, a, b, xi)

@@ -57,9 +57,9 @@ one per round.
 
 The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
 rates are scaled to the target and residual balancing adapts rho, so one
-set serves every instance. ``admm_solve`` defaults its keyword arguments to
-them and ``reweight`` reads ``_REWEIGHT_EPS``. Every entry point takes the
-target rate under one rule: finite and positive, else ValueError.
+set serves every instance. ``admm_solve`` cold-starts at ``_RHO`` or resumes
+from an earlier ``AdmmState``. Every entry point checks the target rate in
+``_coverage_rule``: finite and positive, else ValueError.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class AdmmState:
     (iteration, primal residual, dual residual, objective).
     row_sum_max_dev is the worst row-sum violation of Z seen at any
     iteration, in rate units. rho is the final step, after residual
-    balancing, and the scaled dual U is at that step, so (Z, U, rho)
-    warm-starts a further solve. The state does not keep the weights: they
-    are the caller's ``w``.
+    balancing, and the scaled dual U is at that step, so the state
+    warm-starts a further solve as ``admm_solve(..., start=state)``. The
+    state does not keep the weights: they are the caller's ``w``.
     """
 
     R: np.ndarray
@@ -340,11 +340,14 @@ class _Coverage:
 
 def _coverage_rule(C, r_min: float) -> _Coverage:
     """The coverage rule of ``C``, a CapacityMatrix or an array; its
-    ``values`` are the float array. Raises ValueError, by CapacityMatrix's
-    own check and before any shape is read, unless they are 2-D, finite and
-    nonnegative (greedy rounding needs coverage to grow with the set), and
-    EmptyProblemError (a ValueError) when there are no users, since no
-    solver can place stations for nobody."""
+    ``values`` are the float array. Raises ValueError unless r_min is
+    finite and positive, then, by CapacityMatrix's own check and before any
+    shape is read, unless the values are 2-D, finite and nonnegative (greedy
+    rounding needs coverage to grow with the set), and EmptyProblemError (a
+    ValueError) when there are no users, since no solver can place stations
+    for nobody."""
+    if not (r_min > 0 and math.isfinite(r_min)):
+        raise ValueError(f"target rate must be finite and positive, got {r_min}")
     values = np.asarray(getattr(C, "values", C), dtype=float)
     _check_capacities(values)
     if values.shape[0] == 0:
@@ -352,20 +355,13 @@ def _coverage_rule(C, r_min: float) -> _Coverage:
     return _Coverage(values, r_min)
 
 
-def _check_target(r_min: float) -> None:
-    if not (r_min > 0 and math.isfinite(r_min)):
-        raise ValueError(f"target rate must be finite and positive, got {r_min}")
-
-
 def _check_rows_coverable(C, r_min: float) -> _Coverage:
     """The entry guard of the solvers; returns the coverage rule of ``C``.
 
-    ``C`` is what ``_coverage_rule`` takes, or a rule it built. Raises
-    ValueError unless r_min is finite and positive, then as
-    ``_coverage_rule`` does, and InfeasibleError naming the users that even
-    every column together leaves short.
+    ``C`` is what ``_coverage_rule`` takes, or a rule it built. Raises as
+    ``_coverage_rule`` does, then InfeasibleError naming the users that
+    even every column together leaves short.
     """
-    _check_target(r_min)
     rule = C if isinstance(C, _Coverage) else _coverage_rule(C, r_min)
     short = rule.short_rows(slice(None), rule.values.sum(axis=1))
     if short.size:
@@ -407,13 +403,11 @@ class _Instance:
 def admm_solve(
     C,
     r_min: float,
-    rho: float = _RHO,
     w=None,
     max_iter: int = _MAX_ITER,
     eps_abs: float = _EPS_ABS,
     eps_rel: float = _EPS_REL,
-    z0=None,
-    u0=None,
+    start: AdmmState | None = None,
 ) -> AdmmState:
     """Run the splitting to convergence on one weighted problem instance.
 
@@ -425,17 +419,17 @@ def admm_solve(
     ``max_iter`` iterations, which must be at least 1; stopping there
     logs one warning on the ``absplace`` logger.
 
-    ``rho`` is the initial step, finite and positive, and the weights ``w``
-    (all ones by default) are finite and nonnegative. Every 10 iterations
-    up to iteration 1,000, residual balancing doubles rho (and halves the
-    scaled U) when the primal residual exceeds 10 times the dual one, and
-    does the reverse when the dual residual exceeds 10 times the primal
-    one; after that rho is fixed, which keeps the fixed-step convergence
-    guarantee. The returned ``rho`` and ``U`` are at the final step.
-
-    ``z0`` / ``u0`` warm-start the iteration (original rate units, U scaled
-    by the ``rho`` passed in); otherwise Z starts at min(C, r_min / G) and
-    U at zero.
+    The weights ``w`` (all ones by default) are finite and nonnegative.
+    A cold start (``start`` None) begins at step ``_RHO``, read at the
+    call, with Z at min(C, r_min / G) and U at zero. ``start``, an earlier
+    ``AdmmState`` of the same matrix, resumes from its Z, U and rho
+    instead; ValueError unless its Z and U are finite M x G arrays and its
+    rho finite and positive. Every 10 iterations up to iteration 1,000,
+    residual balancing doubles rho (and halves the scaled U) when the
+    primal residual exceeds 10 times the dual one, and does the reverse
+    when the dual residual exceeds 10 times the primal one; after that rho
+    is fixed, which keeps the fixed-step convergence guarantee. The
+    returned ``rho`` and ``U`` are at the final step.
 
     Columns are reordered internally into a canonical (lexicographic)
     order before iterating and mapped back on return, so the result does
@@ -448,6 +442,7 @@ def admm_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    rho = _RHO if start is None else start.rho
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be finite and positive, got {rho}")
     inst = C if isinstance(C, _Instance) else _Instance(C, r_min)
@@ -458,9 +453,13 @@ def admm_solve(
 
     order, invert = inst.order, inst.rank
     w = w[order]
-    cn = inst.cn
-    Z = np.minimum(cn, 1.0 / g) if z0 is None else np.asarray(z0, dtype=float)[:, order] / r_min
-    U = np.zeros((m, g)) if u0 is None else np.asarray(u0, dtype=float)[:, order] / r_min
+    if start is None:
+        Z, U = np.minimum(inst.cn, 1.0 / g), np.zeros((m, g))
+    else:
+        Z, U = (np.asarray(a, dtype=float) for a in (start.Z, start.U))
+        if not (Z.shape == U.shape == (m, g) and np.isfinite(Z).all() and np.isfinite(U).all()):
+            raise ValueError("start.Z and start.U must be finite M x G arrays")
+        Z, U = Z[:, order] / r_min, U[:, order] / r_min
     x_step = _XStep(w, m, rho)
     z_step = inst.z_step
     sq_mg = math.sqrt(m * g)
@@ -518,13 +517,16 @@ def admm_solve(
 
 
 def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
-    """Next sparsity weights: w_g = 1 / (_REWEIGHT_EPS + ||R[:, g]||_inf / r_min).
+    """Next sparsity weights, proportional to
+    1 / (_REWEIGHT_EPS + ||R[:, g]||_inf / r_min) and scaled so the largest is 1.
 
     Column magnitudes are normalized by the target rate so the constant
     ``_REWEIGHT_EPS`` is scale-free; larger columns get strictly smaller
-    weights.
+    weights. The common scale leaves the argmin unchanged but keeps the
+    slack costs commensurate with rho, which conditions the iteration.
     """
-    return 1.0 / (_REWEIGHT_EPS + np.abs(R).max(axis=0) / r_min)
+    w = 1.0 / (_REWEIGHT_EPS + np.abs(R).max(axis=0) / r_min)
+    return w / w.max()
 
 
 def covers(values: np.ndarray, subset, r_min: float) -> bool:
@@ -539,7 +541,6 @@ def covers(values: np.ndarray, subset, r_min: float) -> bool:
     is finite and positive and the whole matrix is 2-D, finite and
     nonnegative, and EmptyProblemError when it has no users.
     """
-    _check_target(r_min)
     sub = _coverage_rule(values, r_min).values[:, list(subset)]
     return _Coverage(sub, r_min).covers(slice(None), sub.sum(axis=1))
 
@@ -554,8 +555,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     visit order is a function of column content, not position: reordering
     the candidates reorders the output set identically. The column index is
     the final fallback, relevant only for byte-identical duplicate columns.
-    Assumes the full column set covers; raises EmptyProblemError on a
-    matrix with no users and ValueError unless r_min is finite and positive.
+    Assumes the full column set covers; raises as ``_coverage_rule`` does.
     Coverage grows with the set, the columns above any score cut are a
     prefix of the add order and the prune order is its reverse, so
     starting from them ends where the empty start does.
@@ -567,7 +567,6 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     ``solve_placement`` passes its prepared instance in place of the
     matrix, so the rule and the ranks come from the placement's set-up.
     """
-    _check_target(r_min)
     if isinstance(values, _Instance):
         values, rule, rank = values.values, values.rule, values.rank
     else:
@@ -603,39 +602,31 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     """Reweighted ADMM placement: solve, then round greedily.
 
     Runs ``_ROUNDS`` solves (uniform weights first, then reweighted), each
-    warm-started from the previous round and stopped at ``_MAX_ITER``
-    iterations or at the tolerances ``_EPS_ABS`` and ``_EPS_REL``; the
-    first starts at step ``_RHO``. These module constants are read at each
-    call. ``greedy_cover_from_scores`` then rounds the column sup-norms of
-    the final R from the empty set against the actual capacities, so the
-    returned placement is always feasible with no redundant station.
+    warm-started from the previous round's state and stopped at
+    ``_MAX_ITER`` iterations or at the tolerances ``_EPS_ABS`` and
+    ``_EPS_REL``; the first starts at step ``_RHO``. These module constants
+    are read at each call. ``greedy_cover_from_scores`` then rounds the
+    column sup-norms of the final R from the empty set against the actual
+    capacities, so the returned placement is always feasible with no
+    redundant station.
     """
     inst = _Instance(C, r_min)  # the guard, canonical order and Z-step, once
     values = inst.values
-    g = values.shape[1]
-    w = np.ones(g)
-    rho = _RHO
-    z0 = u0 = None
+    w = None  # uniform in the first round
     traces = []
     iterations = 0  # the trace offset of the next round
     all_converged = True
     state = None
     for _ in range(_ROUNDS):
         state = admm_solve(
-            inst, r_min, rho=rho, w=w, max_iter=_MAX_ITER, eps_abs=_EPS_ABS, eps_rel=_EPS_REL,
-            z0=z0, u0=u0,
+            inst, r_min, w=w, max_iter=_MAX_ITER, eps_abs=_EPS_ABS, eps_rel=_EPS_REL, start=state
         )
         tr = state.trace.copy()
         tr[:, 0] += iterations
         traces.append(tr)
         iterations += state.iterations
         all_converged = all_converged and state.converged
-        # U is scaled by the final rho, so the next round resumes at that step.
-        rho, z0, u0 = state.rho, state.Z, state.U
         w = reweight(state.R, r_min)
-        # Rescaling all weights leaves the argmin unchanged but keeps the
-        # slack costs commensurate with rho, which conditions the iteration.
-        w /= w.max()
 
     scores = np.abs(state.R).max(axis=0)
     selected = greedy_cover_from_scores(inst, r_min, scores, ())
@@ -645,7 +636,7 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
         selected=tuple(selected),
         positions=positions,
         user_rates=rates,
-        feasible=covers(values, selected, r_min),
+        feasible=inst.rule.covers(selected, rates),
         objective_trace=np.vstack(traces),
         iterations=iterations,
         converged=all_converged,

@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .errors import GuardError, InfeasibleError
-from .placement import _check_rows_coverable, _check_target, _coverage_rule, greedy_cover_from_scores
+from .placement import _check_rows_coverable, _coverage_rule, greedy_cover_from_scores
 
 __all__ = ["exhaustive_min_abs", "solve_epigraph_lp", "solve_alpha_lp"]
 
@@ -103,7 +103,6 @@ def exhaustive_min_abs(C, r_min: float):
     (``_GUARD``); a wider matrix raises GuardError before coverability is
     checked.
     """
-    _check_target(r_min)
     rule = _coverage_rule(C, r_min)
     values = rule.values
     g = values.shape[1]

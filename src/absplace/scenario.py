@@ -232,6 +232,8 @@ class ExperimentSpec:
             raise ValueError(f"sweep values must be distinct, got {self.values}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed < 0:  # numpy's SeedSequence takes nonnegative entropy only
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         unknown = set(self.solvers) - set(SOLVER_NAMES)
         if unknown:
             raise ValueError(f"unknown solvers {sorted(unknown)}")

@@ -341,10 +341,11 @@ def shadowing_ellipsoid_sum(slf: SlfField, seg: Segment3, width: float) -> float
 
     The result is discontinuous in the endpoints and equals 0 whenever the
     ellipsoid captures no grid point, however strong the field; this is the
-    failure mode that motivates the traversal method.
+    failure mode that motivates the traversal method. Raises ValueError
+    unless ``width`` is finite and positive.
     """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not (width > 0 and math.isfinite(width)):
+        raise ValueError(f"ellipsoid width must be finite and positive, got {width}")
     if seg.is_degenerate():
         raise DomainError("ellipsoid sum needs two distinct endpoints")
     pts = slf.grid.points_array()

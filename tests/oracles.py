@@ -327,8 +327,8 @@ def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.nd
 def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
     """Reweighted placement composed from public calls only.
 
-    ``admm_solve`` rounds warm-started from the previous round's (Z, U,
-    rho), ``reweight`` scaled to a largest weight of 1, then
+    ``admm_solve`` rounds, each started from the previous round's state
+    and weighted by ``reweight`` of its R, then
     ``greedy_cover_from_scores`` started from the columns whose sup-norm
     exceeds ``tau * r_min``. Every call prepares the matrix afresh, and the
     settings are the placement module's constants as they are at the call.
@@ -339,22 +339,19 @@ def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
     from absplace import placement
     from absplace.placement import admm_solve, greedy_cover_from_scores, reweight
 
-    w = np.ones(values.shape[1])
-    rho, z0, u0 = placement._RHO, None, None
+    w, state = np.ones(values.shape[1]), None
     traces, offset, converged = [], 0, True
     for _ in range(placement._ROUNDS):
         state = admm_solve(
-            values, r_min, rho=rho, w=w, max_iter=placement._MAX_ITER,
-            eps_abs=placement._EPS_ABS, eps_rel=placement._EPS_REL, z0=z0, u0=u0,
+            values, r_min, w=w, max_iter=placement._MAX_ITER,
+            eps_abs=placement._EPS_ABS, eps_rel=placement._EPS_REL, start=state,
         )
         trace = state.trace.copy()
         trace[:, 0] += offset
         traces.append(trace)
         offset += state.iterations
         converged = converged and state.converged
-        rho, z0, u0 = state.rho, state.Z, state.U
         w = reweight(state.R, r_min)
-        w /= w.max()
     scores = np.abs(state.R).max(axis=0)
     initial = np.flatnonzero(scores > tau * r_min)
     selected = greedy_cover_from_scores(values, r_min, scores, initial)

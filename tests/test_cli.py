@@ -71,6 +71,16 @@ class TestMap:
         assert thin["xi_traversal"] == wide["xi_traversal"]
         assert wide["xi_ellipsoid"] > thin["xi_ellipsoid"]
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-1", "0"])
+    def test_bad_ellipsoid_width_is_one_line_error(self, width):
+        # NaN used to print an ellipsoid sum of 0.0 and -1 a traceback
+        res = run_cli(["map", *SMALL, "--tx", "10,10,0", "--rx", "200,180,90",
+                       "--ellipsoid-width", width])
+        assert res.exit_code == 1
+        assert res.output == (
+            f"config error: --ellipsoid-width must be finite and positive, got {float(width)}\n"
+        )
+
 
 class TestPlace:
     def test_writes_results_and_succeeds(self, tmp_path):
@@ -109,6 +119,13 @@ class TestPlace:
         assert trace[0] == "iteration,primal,dual,objective"
         assert len(trace) > 1
 
+
+    @pytest.mark.parametrize("command", [["place"], ["map", "--tx", "1,1,0", "--rx", "2,2,2"]])
+    def test_no_flight_point_left_is_one_line_error(self, command):
+        # a no-fly box over the whole city used to end in an EmptyProblemError traceback
+        res = run_cli([*command, *SMALL, "-O", "scenario.no_fly_boxes=[[0,0,0,500,400,1000]]"])
+        assert res.exit_code == 1
+        assert res.output == "empty problem: no allowed flight-grid points remain after filtering\n"
 
     def test_non_convergence_warns_on_stderr(self, tmp_path, monkeypatch):
         monkeypatch.setattr(placement, "_MAX_ITER", 1)
@@ -226,6 +243,8 @@ class TestConfigHandling:
             # strings, which are not numbers for float keys either
             (['scenario.area_m=["500",400]'], "scenario.area_m: cannot read"),
             (['experiment.values=["2e6"]'], "experiment.values: cannot read"),
+            # a negative seed, which numpy's SeedSequence rejects with a traceback
+            (["experiment.seed=-1"], "experiment: seed must be nonnegative, got -1"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):

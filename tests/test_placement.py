@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -335,13 +336,16 @@ class TestAdmm:
 class TestReweight:
     def test_zero_matrix_uniform(self):
         w = reweight(np.zeros((3, 4)), r_min=5e6)
-        np.testing.assert_allclose(w, 1e3)
+        np.testing.assert_array_equal(w, 1.0)
 
     def test_unit_column_norm(self):
+        # raw weights 1 / eps for the empty columns and 1 / (1 + eps) for the
+        # full one, scaled so the largest is 1
         r = np.zeros((2, 3))
         r[0, 1] = 5e6
         w = reweight(r, r_min=5e6)
-        assert w[1] == pytest.approx(1.0 / (1.0 + 1e-3), rel=1e-12)
+        assert w[0] == w[2] == 1.0
+        assert w[1] == pytest.approx(1e-3 / (1.0 + 1e-3), rel=1e-12)
 
     def test_monotone_in_column_norm(self):
         r = np.array([[1.0, 2.0, 0.5]])
@@ -613,9 +617,28 @@ def test_config_validation():
     values, r_min = random_feasible_instance(np.random.default_rng(33))
     with pytest.raises(ValueError, match="max_iter"):
         admm_solve(values, r_min, max_iter=0)
+    state = admm_solve(values, r_min)
     for rho in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rho"):
-            admm_solve(values, r_min, rho=rho)
+            admm_solve(values, r_min, start=dataclasses.replace(state, rho=rho))
+
+
+@pytest.mark.parametrize("field", ["Z", "U"])
+@pytest.mark.parametrize("bad", ["one_row", "transposed", "nan", "inf"])
+def test_warm_start_must_be_finite_m_by_g(field, bad):
+    # a (1, G) Z used to be broadcast over every row, and a NaN one ran
+    # every iteration into NaN with only a warning
+    values, r_min = np.array([[2.0, 0.5, 0.2], [0.3, 1.5, 0.4]]), 1.0
+    state = admm_solve(values, r_min)
+    a = getattr(state, field).copy()
+    if bad == "one_row":
+        a = a[:1]
+    elif bad == "transposed":
+        a = a.T
+    else:
+        a[0, 0] = {"nan": math.nan, "inf": math.inf}[bad]
+    with pytest.raises(ValueError, match="start.Z and start.U must be finite M x G arrays"):
+        admm_solve(values, r_min, start=dataclasses.replace(state, **{field: a}))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
@@ -639,7 +662,7 @@ def test_warm_start_resumes_at_optimum():
     rng = np.random.default_rng(35)
     values, r_min = random_feasible_instance(rng)
     first = admm_solve(values, r_min)
-    resumed = admm_solve(values, r_min, z0=first.Z, u0=first.U)
+    resumed = admm_solve(values, r_min, start=first)
     assert resumed.converged
     assert resumed.iterations <= max(3, first.iterations // 5)
     np.testing.assert_allclose(resumed.Z, first.Z, rtol=0, atol=1e-6 * r_min)
@@ -670,16 +693,14 @@ class TestResidualBalancing:
 
     def test_warm_start_at_final_rho(self):
         values, r_min, w = criterion_06_instance(49)
-        first = admm_solve(values, r_min, rho=1.0, w=w, **CRITERION_06_TOLERANCES)
+        first = admm_solve(values, r_min, w=w, **CRITERION_06_TOLERANCES)
         assert first.converged
-        assert first.rho != 1.0
-        resumed = admm_solve(
-            values, r_min, rho=first.rho, w=w, z0=first.Z, u0=first.U, **CRITERION_06_TOLERANCES
-        )
+        assert first.rho != placement._RHO
+        resumed = admm_solve(values, r_min, w=w, start=first, **CRITERION_06_TOLERANCES)
         assert resumed.converged
         assert resumed.iterations <= 2
 
-    def test_fixed_rho_matches_plain_loop_bitwise(self):
+    def test_fixed_rho_matches_plain_loop_bitwise(self, monkeypatch):
         # Balancing first acts at iteration 10, so nine iterations are the
         # plain splitting; columns in canonical order and r_min = 1 make the
         # solver's internal reordering and rescaling the identity.
@@ -688,7 +709,8 @@ class TestResidualBalancing:
         m, g = values.shape
         w = np.random.default_rng(42).uniform(0.1, 2.0, g)
         rho = 0.7
-        st = admm_solve(values, 1.0, rho=rho, w=w, max_iter=9, eps_abs=0.0, eps_rel=0.0)
+        monkeypatch.setattr(placement, "_RHO", rho)  # the cold start's step, read at the call
+        st = admm_solve(values, 1.0, w=w, max_iter=9, eps_abs=0.0, eps_rel=0.0)
         assert st.iterations == 9 and not st.converged
 
         Z = np.minimum(values, 1.0 / g)

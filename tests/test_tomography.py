@@ -417,9 +417,11 @@ class TestEllipsoidSum:
         assert shadowing_ellipsoid_sum(field, seg, width) == pytest.approx(expect, rel=1e-12)
 
     def test_width_validation(self):
+        # a NaN width used to select no grid point and return 0.0
         field = SlfField.constant(unit_grid((2, 2, 2)), 1.0)
-        with pytest.raises(ValueError):
-            shadowing_ellipsoid_sum(field, Segment3(Point3(0, 0, 0), Point3(1, 1, 1)), width=0.0)
+        for width in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="ellipsoid width must be finite and positive"):
+                shadowing_ellipsoid_sum(field, Segment3(Point3(0, 0, 0), Point3(1, 1, 1)), width=width)
 
 
 class TestEstimation:
