@@ -22,15 +22,17 @@ piecewise-linear nonincreasing scalar function:
       r_min; then z = max(0, min(c, r + u - lam)). Rows with total
       capacity below r_min are infeasible.
 
-Both functions change slope only at known breakpoints, so each root is
-exact, with no iteration, from the sorted breakpoints in O(n log n) per
-column or row: the X-step takes the last active prefix of the descending
-column and its cumulative sum, as in simplex projection (Duchi et al.
-2008); the Z-step scans the cumulative slope over the 2G sorted
-breakpoints {b - c, b} of the row and interpolates inside the segment where
-the function crosses r_min (Condat 2016). That sort need not be stable:
-tied breakpoints bound zero-width segments, so the order of ties changes no
-bit of the result.
+Both functions change slope only at known breakpoints. The X-step root is
+exact, with no iteration, from the sorted column in O(n log n): it takes
+the last active prefix of the descending column and its cumulative sum, as
+in simplex projection (Duchi et al. 2008). The Z-step sorts nothing: each
+row keeps the class of every entry (full, open or zero at the root) from
+the previous iteration, one O(G) pass checks that the piece between
+breakpoints {b - c, b} that those classes give for the new B still holds
+the root, and when a piece has moved the rows take safeguarded Newton
+steps on lam (Cominetti, Mascarenhas & Silva 2014). The piece that holds
+the root is unique in floats, and it alone fixes lam, so the result does
+not depend on the start (``_ZStep``).
 
 The dual update is U <- U + R - Z. Convergence uses the standard scaled
 primal/dual residual rule. rho is the initial step: for the first 1,000
@@ -203,50 +205,123 @@ class _XStep:
 class _ZStep:
     """All Z-step rows of B = R + U at once for capacities C and target r_min.
 
-    Assumes every row can reach r_min; a row that reaches it only in exact
-    arithmetic (its float sum(C) falls short by rounding) gets lam at or
-    below its first breakpoint, hence z = c wherever b - lam keeps every
-    digit of c. The per-problem invariants (row indices, row totals of C,
-    the +1/-1 sign of each breakpoint) are built once, and
-    solve_placement's ``_Instance`` shares one _ZStep among all its rounds.
+    Row m's shift lam solves G(lam) = r_min, where the float function
+    G(t) = sum(max(0, min(c, b - t))) is the row sum of the z that the step
+    returns at t. The breakpoints of a row are the floats b - c and b of its
+    entries, plus -inf and +inf. The piece of t is (L, H], from the largest
+    breakpoint below t to the smallest at or above it. On it an entry is
+    full when its b - c >= t, zero when b < t and open otherwise, so each
+    entry is classified against its own two breakpoints; n counts the open
+    entries.
+
+    Every term of G and float addition in a fixed order are monotone, so G
+    is nonincreasing over the floats, exactly. Hence exactly one piece of a
+    row is final, G(L) > r_min >= G(H): the one that ends at the smallest
+    breakpoint where G falls to r_min. Its shift is
+    min(L + (G(L) - r_min) / n, H), the root of the piece's linear model
+    through (L, G(L)); a flat piece, n = 0, which only rounding can make
+    final, uses n = 1. The final piece alone fixes lam, so Z does not
+    depend on how the search started, and one row alone (``z_step_row``)
+    equals its row of the batch bit for bit.
+
+    The search is a safeguarded Newton method on each row's shift
+    (Cominetti, Mascarenhas & Silva 2014; Kiwiel 2008 reviews breakpoint
+    searches). A call starts each row at a shift t, by default
+    (sum(b) - r_min) / G, the root when every entry is open. A pass
+    classifies every entry at t, finds L and H, evaluates G at both, and
+    stops the rows whose piece is final. Each other row keeps a bracket
+    (lo, hi) of breakpoints with G(lo) > r_min >= G(hi) and moves to its
+    Newton point L + (G(L) - r_min) / n when that lies strictly inside the
+    bracket, else to the next piece on the root's side: just above H or at
+    L, which also leaves flat pieces. Every such pass moves lo up or hi
+    down to a breakpoint strictly inside the bracket, so a row is final
+    within 2G + 1 passes; more raise RuntimeError.
+
+    ``follow`` warm-starts from the previous call: its first pass keeps
+    each entry's class from the final pass before, so L and H are the
+    nearest breakpoints that the new B gives that class, and the shift it
+    moves to when a piece is not final is the root of the old piece for
+    the new B. Between ADMM iterations the classes rarely change, so most
+    calls take this one pass. ``passes`` counts the passes of the last call.
+
+    A row whose float sum(C) does not exceed r_min (it reaches r_min only in
+    exact arithmetic, or exactly) returns lam = -inf and z = c exactly.
+    The per-problem invariants are built once, and solve_placement's
+    ``_Instance`` shares one _ZStep among all its rounds.
     """
 
     def __init__(self, C: np.ndarray, r_min: float):
         m, g = C.shape
         self.C = C
         self.r_min = r_min
-        self.rows = np.arange(m)
-        self.row_index = self.rows[:, None]
-        self.total = C.sum(axis=1)
-        self.sign = np.repeat(np.array([1, -1]), g)  # b - c opens an entry, b closes it
+        short = C.sum(axis=1) <= r_min
+        self.short = short if short.any() else None
+        # n = #(b >= t) - #(b - c >= t): the -inf and +inf columns count 0
+        self.sign = np.concatenate((np.repeat([-1.0, 1.0], g), [0.0, 0.0]))
+        self.infinities = np.tile([-np.inf, np.inf], (m, 1))
+        self.max_passes = 2 * g + 1
+        self.passes = 0
+        self.lam = None  # the final shifts of the last call
+        self.above = None  # its final classes: K >= t on each row's final piece
 
-    def __call__(self, B):
-        # G(lam) is sum(C) left of every breakpoint and 0 right of them;
-        # between consecutive sorted breakpoints its slope is minus the number
-        # n_open of entries with b - c < lam < b. Scanning the slopes gives G
-        # at every breakpoint; the root is interpolated inside the first
-        # segment that ends at or below r_min.
-        #
-        # The sort need not be stable. Tied breakpoints bound zero-width
-        # segments, whose terms n_open * 0 add exactly nothing, so gv at
-        # every position, and hence j, is the same for any order of the ties.
-        # i = j - 1 is then the last of its tie group, where n_open counts the
-        # whole group whatever its order; for j == 0, max(n_open, 1) is 1.
-        C, r_min, rows = self.C, self.r_min, self.rows
-        points = np.concatenate([B - C, B], axis=1)
-        order = points.argsort(axis=1)
-        points = points[self.row_index, order]
-        n_open = self.sign[order].cumsum(axis=1)
-        gv = np.empty_like(points)
-        gv[:, 0] = self.total
-        gv[:, 1:] = gv[:, :1] - (n_open[:, :-1] * (points[:, 1:] - points[:, :-1])).cumsum(axis=1)
-        gv[:, -1] = 0.0  # exact: every entry is clipped to zero at the last breakpoint
-        j = (gv <= r_min).argmax(axis=1)
-        # gv[j-1] > r_min >= gv[j]: lam lies in the segment ending at j, where
-        # n_open is positive. j == 0 only when sum(C) <= r_min; lam is then at
-        # or below the first breakpoint, where z = c.
-        i = np.maximum(j - 1, 0)
-        lam = points[rows, i] + (gv[rows, i] - r_min) / np.maximum(n_open[rows, i], 1)
+    def __call__(self, B, lam=None):
+        """Z for B, each row's search started at lam (default: every entry open)."""
+        if lam is None:
+            lam = (B.sum(axis=1) - self.r_min) / self.C.shape[1]
+        return self._search(B, lam, None)
+
+    def follow(self, B):
+        """Z for the next B of the problem, warm-started from the last call."""
+        return self._search(B, None, self.above)
+
+    def _search(self, B, t, above):
+        """The search from shifts t, or from the classes ``above`` of K."""
+        C, r_min, short = self.C, self.r_min, self.short
+        K = np.concatenate((B - C, B, self.infinities), axis=1)  # the breakpoints
+        lo = hi = None
+        for passes in range(1, self.max_passes + 1):
+            if above is None:
+                above = K >= t[:, None]
+            WL = np.where(above, -np.inf, K)
+            WH = np.where(above, K, np.inf)
+            L = WL.max(axis=1)
+            H = WH.min(axis=1)
+            # E = r_min - G at L and at H
+            E = r_min - np.maximum(0.0, np.minimum(C, B - np.array((L, H))[:, :, None])).sum(axis=2)
+            x = L - E[0] / np.maximum(above @ self.sign, 1.0)
+            e_low, e_high = E.tolist()
+            if max(e_low) < 0.0 <= min(e_high):
+                break  # every piece is final
+            # The rows whose piece is not final take one safeguarded step
+            # each; this is O(M) scalar work beside the O(MG) pass. A row that
+            # stays puts t at H, which keeps its classes.
+            if lo is None:
+                lo, hi = [-math.inf] * C.shape[0], [math.inf] * C.shape[0]
+            t_next = (H if t is None else t).tolist()
+            busy = False
+            for m, (el, eh, l, h, xm) in enumerate(zip(e_low, e_high, L.tolist(), H.tolist(), x.tolist())):
+                if short is not None and short[m]:
+                    continue
+                if eh < 0.0:  # G(H) > r_min: the root lies above H
+                    lo[m] = h
+                    t_next[m] = xm if h < xm < hi[m] else math.nextafter(h, math.inf)
+                elif el >= 0.0:  # G(L) <= r_min: the root lies at or below L
+                    hi[m] = l
+                    t_next[m] = xm if lo[m] < xm < l else l
+                else:
+                    continue
+                busy = True
+            if not busy:
+                break
+            t = np.array(t_next)
+            above = None
+        else:
+            raise RuntimeError(f"Z-step shift not settled after {self.max_passes} passes")
+        self.passes = passes
+        self.above = above
+        self.lam = lam = np.minimum(x, H)
+        if short is not None:
+            lam[short] = -np.inf
         return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
 
 
@@ -256,6 +331,18 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(a @ a)
 
 
+def _finite_vectors(**vectors) -> list[np.ndarray]:
+    """The named inputs as float arrays; ValueError naming the first that
+    holds a NaN or an infinity."""
+    arrays = []
+    for name, v in vectors.items():
+        a = np.asarray(v, dtype=float)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+        arrays.append(a)
+    return arrays
+
+
 def x_step_column(z_col, u_col, w_g: float, rho: float):
     """Single-column X-step; returns (rate column, slack).
 
@@ -263,14 +350,13 @@ def x_step_column(z_col, u_col, w_g: float, rho: float):
     is min(z - u, s). The root is found exactly from the sorted column.
     For w_g = 0 the column is returned unchanged (r = z - u) and the slack
     reported as its maximum entry. Raises ValueError unless rho is finite
-    and positive and w_g finite and nonnegative.
+    and positive, w_g finite and nonnegative, and z and u finite.
     """
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be finite and positive, got {rho}")
     if not (w_g >= 0 and math.isfinite(w_g)):
         raise ValueError(f"weight must be finite and nonnegative, got {w_g}")
-    z = np.asarray(z_col, dtype=float).reshape(-1, 1)
-    u = np.asarray(u_col, dtype=float).reshape(-1, 1)
+    z, u = (a.reshape(-1, 1) for a in _finite_vectors(z_col=z_col, u_col=u_col))
     R, s = _XStep(np.array([float(w_g)]), z.shape[0], rho)(z - u)
     return R[:, 0], float(s[0])
 
@@ -279,11 +365,12 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
     """Single-row Z-step: project r + u onto {z : sum(z) = r_min, 0 <= z <= c}.
 
     Independent of the step size. The shift lam of z = clip(r + u - lam, 0, c)
-    is found exactly by a slope scan over the sorted breakpoints. Raises
+    is the one of ``_ZStep`` from its default start, so the result equals
+    the row of a batched step bit for bit. Raises ValueError unless r and u
+    are finite (and c as every solver entry checks it), then
     InfeasibleError when the row's total capacity cannot reach r_min.
     """
-    r = np.asarray(r_row, dtype=float).reshape(1, -1)
-    u = np.asarray(u_row, dtype=float).reshape(1, -1)
+    r, u = (a.reshape(1, -1) for a in _finite_vectors(r_row=r_row, u_row=u_row))
     c = np.asarray(c_row, dtype=float).reshape(1, -1)
     _check_rows_coverable(c, r_min)
     return _ZStep(c, float(r_min))(r + u)[0]
@@ -416,8 +503,14 @@ def admm_solve(
     target rate. Stops when both the primal residual ||R - Z||_F and the
     dual residual rho * ||Z_k+1 - Z_k||_F fall below
     eps_abs * sqrt(M G) + eps_rel * max(||R||_F, ||Z||_F), or after
-    ``max_iter`` iterations, which must be at least 1; stopping there
-    logs one warning on the ``absplace`` logger.
+    ``max_iter`` iterations; stopping there logs one warning on the
+    ``absplace`` logger. ValueError unless ``max_iter`` is an integer (not
+    a bool) of at least 1 and both tolerances are nonnegative (not NaN).
+    Each Z-step starts from the entry classes of the one before
+    (``_ZStep.follow``); the first Z-step on a new matrix starts every row
+    at its root with all entries open, and the later rounds of
+    ``solve_placement`` continue from the round before. The Z-step's result
+    does not depend on its start.
 
     The weights ``w`` (all ones by default) are finite and nonnegative.
     A cold start (``start`` None) begins at step ``_RHO``, read at the
@@ -440,8 +533,10 @@ def admm_solve(
     capacities once per placement and passes its prepared instance in
     place of the matrix.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    if not (eps_abs >= 0 and eps_rel >= 0):
+        raise ValueError(f"eps_abs and eps_rel must be nonnegative, got {eps_abs!r} and {eps_rel!r}")
     rho = _RHO if start is None else start.rho
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be finite and positive, got {rho}")
@@ -470,12 +565,13 @@ def admm_solve(
     for k in range(1, max_iter + 1):
         iterations = k
         R, _ = x_step(Z - U)
-        z_new = z_step(R + U)
+        z_new = z_step(R + U) if z_step.above is None else z_step.follow(R + U)
         U = U + R - z_new
         primal = _norm(R - z_new)
         dual = rho * _norm(z_new - Z)
         Z = z_new
-        row_dev = max(row_dev, float(np.abs(Z.sum(axis=1) - 1.0).max()))
+        sums = Z.sum(axis=1)
+        row_dev = max(row_dev, float(sums.max()) - 1.0, 1.0 - float(sums.min()))
         objective = float(w @ np.abs(R).max(axis=0))
         trace.append((k, primal, dual, objective))
         tol = eps_abs * sq_mg + eps_rel * max(_norm(R), _norm(Z))

@@ -303,10 +303,10 @@ def greedy_cover_reference(values: np.ndarray, r_min: float, scores, selected) -
 def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.ndarray:
     """All Z-step rows of B by the breakpoint scan with a stable sort.
 
-    The same float operations as the library's Z-step, in the same order,
-    but tied breakpoints keep their input order (every b - c before every
-    b, columns left to right). Since only the order of ties differs, the
-    library must agree bit for bit.
+    G is tabulated at the 2G sorted breakpoints of each row from the
+    cumulative slopes, and the root is interpolated inside the first
+    segment that ends at or below r_min. It shares no code with the
+    library's sort-free search, which must agree with it to rounding.
     """
     m, g = C.shape
     rows = np.arange(m)

@@ -120,7 +120,7 @@ class TestZStep:
 
 
 class TestExactNumpySteps:
-    """Sort-and-scan half-steps on degenerate inputs."""
+    """Half-steps on degenerate inputs."""
 
     @staticmethod
     def check_x_columns(A, w, rho):
@@ -140,11 +140,13 @@ class TestExactNumpySteps:
         from absplace.placement import _ZStep
 
         Z = _ZStep(C, r_min)(B)
+        scan = z_step_stable_reference(B, C, r_min)
         for m in range(B.shape[0]):
             lam = z_step_root_exact(B[m], C[m], r_min)
             expect = np.maximum(0.0, np.minimum(C[m], B[m] - lam))
             scale = max(1.0, r_min, np.abs(B[m]).max())
             np.testing.assert_allclose(Z[m], expect, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(Z[m], scan[m], rtol=0, atol=1e-12 * scale)
             assert abs(Z[m].sum() - r_min) <= 1e-12 * scale
         return Z
 
@@ -197,17 +199,47 @@ class TestExactNumpySteps:
         self.check_z_rows(B[1:], C[1:], 4.0)
 
 
-class TestZStepTieInvariance:
-    """The Z-step sorts its breakpoints without stability; on rows full of
-    tied breakpoints it must still equal the stable-sort scan bit for bit."""
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def check_z_start_free(B, C, r_min, rng):
+    """The Z-step from every start gives the bits of its cold start: from
+    the exact roots, from its own shifts, below the first breakpoint, above
+    the last one, from random shifts, and by ``follow`` from its own piece
+    and from the piece of an unrelated B. Returns the cold Z."""
+    from absplace.placement import _ZStep
+
+    step = _ZStep(C, r_min)
+    Z = step(B)
+    lam = step.lam
+    spread = 1.0 + np.abs(B).max() + C.max()
+    starts = [
+        np.array([z_step_root_exact(B[m], C[m], r_min) for m in range(B.shape[0])]),
+        lam,
+        (B - C).min(axis=1) - spread,
+        B.max(axis=1) + spread,
+    ] + [rng.normal(0.0, 3.0 * spread, B.shape[0]) for _ in range(4)]
+    for start in starts:
+        other = _ZStep(C, r_min)
+        assert_same_bits(other(B, start), Z)
+        assert_same_bits(other.lam, lam)
+    assert_same_bits(step.follow(B), Z)
+    other = _ZStep(C, r_min)
+    other(rng.normal(0.0, spread, B.shape))
+    assert_same_bits(other.follow(B), Z)
+    assert_same_bits(other.lam, lam)
+    return Z
+
+
+class TestZStepTies:
+    """Rows full of tied breakpoints: the exact roots to 1e-12 of scale, and
+    the same bits from every start."""
 
     @staticmethod
-    def check(B, C, r_min):
-        from absplace.placement import _ZStep
-
-        got = _ZStep(C, r_min)(B)
-        want = z_step_stable_reference(B, C, r_min)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    def check(B, C, r_min, rng):
+        TestExactNumpySteps.check_z_rows(B, C, r_min)
+        check_z_start_free(B, C, r_min, rng)
 
     @staticmethod
     def dyadic_rows(rng, m, g, zeros=False):
@@ -224,13 +256,13 @@ class TestZStepTieInvariance:
         for _ in range(100):
             B, C, r_min = self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 12)))
             dup = rng.integers(0, C.shape[1], int(rng.integers(1, 3 * C.shape[1])))
-            self.check(np.concatenate([B, B[:, dup]], axis=1), np.concatenate([C, C[:, dup]], axis=1), r_min)
+            self.check(np.concatenate([B, B[:, dup]], axis=1), np.concatenate([C, C[:, dup]], axis=1), r_min, rng)
 
     def test_zero_capacity_entries(self):
         # b - 0 == b: an entry opens and closes at the same breakpoint
         rng = np.random.default_rng(51)
         for _ in range(100):
-            self.check(*self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 40)), zeros=True))
+            self.check(*self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 40)), zeros=True), rng)
 
     def test_close_of_one_column_ties_open_of_another(self):
         # b_g - c_g == b_h: column h closes where column g opens
@@ -241,7 +273,7 @@ class TestZStepTieInvariance:
             src = rng.integers(0, g, g // 2)
             dst = rng.integers(0, g, g // 2)
             B[:, dst] = B[:, src] - C[:, src]
-            self.check(B, C, r_min)
+            self.check(B, C, r_min, rng)
 
     def test_ties_at_the_last_breakpoint(self):
         rng = np.random.default_rng(53)
@@ -249,7 +281,7 @@ class TestZStepTieInvariance:
             B, C, r_min = self.dyadic_rows(rng, int(rng.integers(1, 6)), int(rng.integers(2, 40)))
             top = rng.random(C.shape[1]) < 0.5
             B[:, top] = B.max(axis=1, keepdims=True)
-            self.check(B, C, r_min)
+            self.check(B, C, r_min, rng)
 
     def test_row_short_of_target_only_by_rounding(self):
         from absplace.placement import _ZStep
@@ -257,14 +289,81 @@ class TestZStepTieInvariance:
         C = np.array([TINY_ROW])
         r_min = math.fsum(TINY_ROW)
         assert C.sum() < r_min
-        # lam falls at or below the first breakpoint, so z = c where b - lam
-        # keeps every digit of c
-        for B in (np.zeros_like(C), C.copy(), np.concatenate([[1.0], C[0, 1:]])[None, :]):
-            self.check(B, C, r_min)
-            np.testing.assert_array_equal(_ZStep(C, r_min)(B), C)
         rng = np.random.default_rng(54)
+        # lam is -inf, so z = c exactly
+        for B in (np.zeros_like(C), C.copy(), np.concatenate([[1.0], C[0, 1:]])[None, :]):
+            self.check(B, C, r_min, rng)
+            np.testing.assert_array_equal(_ZStep(C, r_min)(B), C)
         for _ in range(20):
-            self.check(rng.choice([0.0, 2.0**-53, 0.5, 1.0], C.shape), C, r_min)
+            self.check(rng.choice([0.0, 2.0**-53, 0.5, 1.0], C.shape), C, r_min, rng)
+
+
+class TestZStepStarts:
+    """The final piece alone fixes the Z-step's result; the start only
+    decides how many passes the search takes."""
+
+    def test_random_rows_from_any_start(self):
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            m, g = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            C = rng.uniform(0.0, 2.0, (m, g)) * 10.0 ** rng.integers(-2, 3)
+            r_min = float(C.sum(axis=1).min() * rng.uniform(0.05, 0.999))
+            B = rng.normal(0.0, 1.0, (m, g)) * 10.0 ** rng.integers(-2, 3)
+            check_z_start_free(B, C, r_min, rng)
+
+    @staticmethod
+    def adversarial_rows(rng, g):
+        """Rows whose pieces make Newton steps misjudge the root: capacities
+        and points spread over many orders of magnitude, breakpoints packed
+        within a few ulps of each other, and a few large entries among many
+        small ones."""
+        kind = int(rng.integers(3))
+        if kind == 0:
+            c = 2.0 ** rng.integers(-30, 30, g).astype(float)
+            b = rng.choice([-1.0, 1.0], g) * 2.0 ** rng.integers(-30, 30, g).astype(float)
+        elif kind == 1:
+            b = 1.0 + np.spacing(1.0) * rng.integers(-8, 8, g)
+            c = np.spacing(1.0) * rng.integers(0, 16, g).astype(float)
+            c[0] = 1.0
+        else:
+            c = np.where(rng.random(g) < 0.1, 1e6, 1e-6) * rng.uniform(0.5, 1.0, g)
+            b = rng.normal(0.0, 1.0, g) * np.where(rng.random(g) < 0.5, 1e6, 1.0)
+        r_min = float(c.sum() * rng.choice([1e-9, 0.01, 0.5, 0.999]))
+        return b[None, :], c[None, :], r_min
+
+    def test_pass_count_bound_on_adversarial_rows(self):
+        # each pass that does not settle a row moves its bracket to a
+        # breakpoint strictly inside, so no row needs more than 2G + 1
+        from absplace.placement import _ZStep
+
+        rng = np.random.default_rng(57)
+        most = 0
+        for _ in range(300):
+            g = int(rng.integers(1, 40))
+            B, C, r_min = self.adversarial_rows(rng, g)
+            step = _ZStep(C, r_min)
+            Z = step(B)
+            for start in (None, np.array([-1e300]), np.array([1e300]), rng.normal(0.0, 1e6, 1)):
+                got = step(B) if start is None else step(B, start)
+                assert step.passes <= 2 * g + 1
+                most = max(most, step.passes)
+                assert_same_bits(got, Z)
+            step.follow(B)
+            assert step.passes == 1
+        assert most > 2  # the rows do exercise the bracketed steps
+
+    def test_pass_cap_raises(self):
+        from absplace.placement import _ZStep
+
+        C = np.array([[1.0, 1.0, 1.0, 0.25]])
+        B = np.array([[3.0, -2.0, 0.5, 0.1]])
+        far = np.array([1e6])
+        step = _ZStep(C, 1.0)
+        step(B, far)
+        assert step.passes > 1
+        step.max_passes = step.passes - 1
+        with pytest.raises(RuntimeError, match="not settled"):
+            step(B, far)
 
 
 @given(
@@ -617,10 +716,41 @@ def test_config_validation():
     values, r_min = random_feasible_instance(np.random.default_rng(33))
     with pytest.raises(ValueError, match="max_iter"):
         admm_solve(values, r_min, max_iter=0)
+    assert admm_solve(values, r_min, max_iter=np.int64(3)).iterations <= 3
     state = admm_solve(values, r_min)
     for rho in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="rho"):
             admm_solve(values, r_min, start=dataclasses.replace(state, rho=rho))
+
+
+@pytest.mark.parametrize("max_iter", [10.0, True, np.float64(5.0), "10"])
+def test_max_iter_must_be_an_integer(max_iter):
+    # 10.0 raised a TypeError from range, and True ran one iteration
+    values, r_min = random_feasible_instance(np.random.default_rng(33))
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        admm_solve(values, r_min, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("tolerance", ["eps_abs", "eps_rel"])
+@pytest.mark.parametrize("value", [math.nan, -1e-9, -math.inf])
+def test_tolerances_must_be_nonnegative(tolerance, value):
+    # a NaN tolerance ran every iteration up to max_iter
+    values, r_min = random_feasible_instance(np.random.default_rng(33))
+    with pytest.raises(ValueError, match="eps_abs and eps_rel must be nonnegative"):
+        admm_solve(values, r_min, **{tolerance: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_single_steps_reject_non_finite_input(bad):
+    # z_step_row([nan, 0], 0, [1, 1], 1) returned [nan, 0.]
+    with pytest.raises(ValueError, match="r_row must be finite"):
+        z_step_row([bad, 0.0], 0.0, [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="u_row must be finite"):
+        z_step_row([0.0, 0.0], [0.0, bad], [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="z_col must be finite"):
+        x_step_column([bad, 0.0], [0.0, 0.0], 1.0, 1.0)
+    with pytest.raises(ValueError, match="u_col must be finite"):
+        x_step_column([0.0, 0.0], [bad, 0.0], 1.0, 1.0)
 
 
 @pytest.mark.parametrize("field", ["Z", "U"])
