@@ -40,16 +40,17 @@ iterations residual balancing adapts it (every 10 iterations it doubles
 when the primal residual is over 10 times the dual one and halves in the
 reverse case, rescaling U to match), and it is frozen after that. The
 returned rho and U are at the final step. Stations are rounded greedily
-from the column sup-norms of the final R: added from the empty set by
-decreasing sup-norm until the set covers, then dropped in the reverse
-order wherever coverage survives, so the returned set is always feasible
-and contains no redundant station. Coverage is exact: a user is covered
-iff math.fsum of its selected capacities reaches r_min. Greedy keeps the
-selected set's float row totals as an M-vector, so each visited column
-costs one O(M) add or subtract; a row's verdict comes from its float total
-when that lies outside a rigorous rounding band around r_min, and from
-math.fsum over the members otherwise (``_Coverage``, shared with
-``covers`` and the infeasibility guards).
+from the column sup-norms of the final R along one visit order (decreasing
+sup-norm, exact ties by canonical rank): added from the empty set until
+the set covers, then dropped walking the order backward wherever coverage
+survives, so the returned set is always feasible and contains no
+redundant station. Coverage is exact: a user is covered iff math.fsum of
+its selected capacities reaches r_min. Greedy keeps the selected set's
+float row totals as an M-vector, so each visited column costs one O(M)
+add or subtract; a row's verdict comes from its float total when that
+lies outside a rigorous rounding band around r_min, and from math.fsum
+over the members otherwise (``_Coverage``, shared with ``covers`` and the
+infeasibility guards).
 
 ``solve_placement`` prepares its instance once (``_Instance``): the entry
 guard, the canonical column order that every solve and greedy's tie-break
@@ -221,8 +222,10 @@ class _ZStep:
     min(L + (G(L) - r_min) / n, H), the root of the piece's linear model
     through (L, G(L)); a flat piece, n = 0, which only rounding can make
     final, uses n = 1. The final piece alone fixes lam, so Z does not
-    depend on how the search started, and one row alone (``z_step_row``)
-    equals its row of the batch bit for bit.
+    depend on how the search started. G's row sums run along the last
+    axis, and numpy rounds such a sum by the memory layout, so one row
+    alone (``z_step_row``) equals its row of the batch bit for bit when B
+    and C are C-ordered, as the solver's arrays are.
 
     The search is a safeguarded Newton method on each row's shift
     (Cominetti, Mascarenhas & Silva 2014; Kiwiel 2008 reviews breakpoint
@@ -366,9 +369,10 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
 
     Independent of the step size. The shift lam of z = clip(r + u - lam, 0, c)
     is the one of ``_ZStep`` from its default start, so the result equals
-    the row of a batched step bit for bit. Raises ValueError unless r and u
-    are finite (and c as every solver entry checks it), then
-    InfeasibleError when the row's total capacity cannot reach r_min.
+    the row of a batched step on C-ordered arrays bit for bit. Raises
+    ValueError unless r and u are finite (and c as every solver entry
+    checks it), then InfeasibleError when the row's total capacity cannot
+    reach r_min.
     """
     r, u = (a.reshape(1, -1) for a in _finite_vectors(r_row=r_row, u_row=u_row))
     c = np.asarray(c_row, dtype=float).reshape(1, -1)
@@ -476,14 +480,16 @@ class _Instance:
     would otherwise rebuild from the matrix: the entry guard's coverage
     rule, the canonical column order and its inverse (greedy's tie-break
     rank), the capacities in that order scaled to r_min = 1, and their
-    Z-step. Building it runs the entry guard.
+    Z-step. The scaled capacities are gathered with ``take``, which returns
+    a C-ordered array where ``values[:, order]`` is column-major, so every
+    array of the solve shares one layout. Building it runs the entry guard.
     """
 
     def __init__(self, C, r_min: float):
         self.rule = _check_rows_coverable(C, r_min)
         self.values = values = self.rule.values
         self.order, self.rank = _canonical_order(values)
-        self.cn = values[:, self.order] / r_min
+        self.cn = values.take(self.order, axis=1) / r_min
         self.z_step = _ZStep(self.cn, 1.0)
 
 
@@ -554,7 +560,7 @@ def admm_solve(
         Z, U = (np.asarray(a, dtype=float) for a in (start.Z, start.U))
         if not (Z.shape == U.shape == (m, g) and np.isfinite(Z).all() and np.isfinite(U).all()):
             raise ValueError("start.Z and start.U must be finite M x G arrays")
-        Z, U = Z[:, order] / r_min, U[:, order] / r_min
+        Z, U = Z.take(order, axis=1) / r_min, U.take(order, axis=1) / r_min
     x_step = _XStep(w, m, rho)
     z_step = inst.z_step
     sq_mg = math.sqrt(m * g)
@@ -625,6 +631,16 @@ def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
     return w / w.max()
 
 
+def _column_indices(name: str, indices, g: int) -> list:
+    """``indices`` as a list; ValueError unless each is an integer (not a
+    bool) in [0, g)."""
+    indices = list(indices)
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < g:
+            raise ValueError(f"{name} must hold column indices in [0, {g}), got {i!r}")
+    return indices
+
+
 def covers(values: np.ndarray, subset, r_min: float) -> bool:
     """True iff the selected columns jointly give every user at least r_min.
 
@@ -635,26 +651,31 @@ def covers(values: np.ndarray, subset, r_min: float) -> bool:
     column listed twice counts twice, and the empty set covers no one.
     Checks its input as every solver entry does: ValueError unless r_min
     is finite and positive and the whole matrix is 2-D, finite and
-    nonnegative, and EmptyProblemError when it has no users.
+    nonnegative, and EmptyProblemError when it has no users; then
+    ValueError unless every entry of ``subset`` is an integer column index
+    in [0, G).
     """
-    sub = _coverage_rule(values, r_min).values[:, list(subset)]
+    values = _coverage_rule(values, r_min).values
+    sub = values[:, _column_indices("subset", subset, values.shape[1])]
     return _Coverage(sub, r_min).covers(slice(None), sub.sum(axis=1))
 
 
 def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected) -> list[int]:
     """Repair then prune a candidate set against actual capacities.
 
-    Adds unselected columns in decreasing score order until the set covers,
-    then tries to drop columns in increasing score order (weakest station
-    first), keeping only drops that preserve coverage. Exact score ties are
-    ordered by the columns' values (their canonical lexicographic rank), so
-    visit order is a function of column content, not position: reordering
-    the candidates reorders the output set identically. The column index is
-    the final fallback, relevant only for byte-identical duplicate columns.
-    Assumes the full column set covers; raises as ``_coverage_rule`` does.
-    Coverage grows with the set, the columns above any score cut are a
-    prefix of the add order and the prune order is its reverse, so
-    starting from them ends where the empty start does.
+    One visit order serves both passes: decreasing score, exact ties broken
+    by the columns' canonical lexicographic rank, so the order is a
+    function of column content, not position, and reordering the
+    candidates reorders the output set identically. Repair walks it forward
+    over the columns outside the set until the set covers; prune walks it
+    backward over the members (weakest station first), keeping only drops
+    that preserve coverage. Coverage grows with the set, the columns above
+    any score cut are a prefix of the order and prune walks it in reverse,
+    so starting from them ends where the empty start does.
+
+    Raises as ``_coverage_rule`` does, then ValueError unless ``scores`` is
+    a finite G-vector and ``selected`` holds integer column indices in
+    [0, G). Assumes the full column set covers.
 
     The set's float row totals are kept as an M-vector, so each visited
     column costs one O(M) add or subtract and a comparison against the
@@ -669,22 +690,21 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
         rule = _coverage_rule(values, r_min)
         values = rule.values
         rank = _canonical_order(values)[1]
-    scores = np.asarray(scores, dtype=float)
     n = values.shape[1]
-    selected = sorted(set(int(g) for g in selected))
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (n,) or not np.isfinite(scores).all():
+        raise ValueError("scores must be a finite G-vector")
     members = np.zeros(n, dtype=bool)
-    members[selected] = True
-    totals = values[:, selected].sum(axis=1)
+    members[_column_indices("selected", selected, n)] = True
+    order = np.lexsort((rank, -scores))
+    totals = values[:, members].sum(axis=1)
     if not rule.covers(members, totals):
-        remaining = np.flatnonzero(~members).tolist()
-        remaining.sort(key=lambda g: (-scores[g], rank[g], g))
-        for g in remaining:
-            selected.append(g)
+        for g in order[~members[order]].tolist():
             members[g] = True
             totals = totals + values[:, g]
             if rule.covers(members, totals):
                 break
-    for g in sorted(selected, key=lambda g: (scores[g], -rank[g], -g)):
+    for g in order[members[order]][::-1].tolist():
         members[g] = False
         trial = totals - values[:, g]
         if rule.covers(members, trial):
@@ -713,7 +733,9 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     iterations = 0  # the trace offset of the next round
     all_converged = True
     state = None
-    for _ in range(_ROUNDS):
+    for k in range(_ROUNDS):
+        if k:
+            w = reweight(state.R, r_min)
         state = admm_solve(
             inst, r_min, w=w, max_iter=_MAX_ITER, eps_abs=_EPS_ABS, eps_rel=_EPS_REL, start=state
         )
@@ -722,7 +744,6 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
         traces.append(tr)
         iterations += state.iterations
         all_converged = all_converged and state.converged
-        w = reweight(state.R, r_min)
 
     scores = np.abs(state.R).max(axis=0)
     selected = greedy_cover_from_scores(inst, r_min, scores, ())

@@ -341,7 +341,9 @@ def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
 
     w, state = np.ones(values.shape[1]), None
     traces, offset, converged = [], 0, True
-    for _ in range(placement._ROUNDS):
+    for k in range(placement._ROUNDS):
+        if k:
+            w = reweight(state.R, r_min)
         state = admm_solve(
             values, r_min, w=w, max_iter=placement._MAX_ITER,
             eps_abs=placement._EPS_ABS, eps_rel=placement._EPS_REL, start=state,
@@ -351,7 +353,6 @@ def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
         traces.append(trace)
         offset += state.iterations
         converged = converged and state.converged
-        w = reweight(state.R, r_min)
     scores = np.abs(state.R).max(axis=0)
     initial = np.flatnonzero(scores > tau * r_min)
     selected = greedy_cover_from_scores(values, r_min, scores, initial)

@@ -366,6 +366,23 @@ class TestZStepStarts:
             step(B, far)
 
 
+def test_instance_z_step_equals_single_rows():
+    # numpy sums a row pairwise when it is contiguous and in sequence when
+    # it is strided, and the two differ in the last bits from G = 8 on: the
+    # solver's arrays must share z_step_row's C-ordered layout.
+    from absplace.placement import _Instance
+
+    for trial in range(30):
+        values, r_min, _ = criterion_06_instance(trial)
+        inst = _Instance(values, r_min)
+        zeros = np.zeros(values.shape[1])
+        for scale in (0.3, 0.9, 1.7):
+            B = scale * inst.cn - 0.01
+            Z = inst.z_step(B)
+            for m, row in enumerate(Z):
+                assert_same_bits(row, z_step_row(B[m], zeros, inst.cn[m], 1.0))
+
+
 @given(
     st.integers(2, 6),
     st.integers(1, 400),
@@ -710,6 +727,37 @@ class TestCoverageRule:
             covers(values, subset, r_min)
         with pytest.raises(ValueError, match="finite"):
             greedy_cover_from_scores(values, r_min, [1.0, 2.0], subset)
+
+    @pytest.mark.parametrize(
+        "selected",
+        [[-1], [2], [0, 5], [0.5], [1.0], [True], [np.True_], ["0"]],
+        ids=["negative", "at_g", "past_g", "half", "float", "bool", "numpy_bool", "string"],
+    )
+    def test_greedy_start_must_be_column_indices(self, selected):
+        # numpy would read -1 as column G - 1, and int() 0.5 as column 0 and
+        # True as column 1
+        values = np.array([[2.0, 0.5], [0.3, 1.5]])
+        with pytest.raises(ValueError, match="column indices"):
+            greedy_cover_from_scores(values, 1.0, [1.0, 2.0], selected)
+
+    @pytest.mark.parametrize(
+        "scores",
+        [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 2.0], [1.0, np.inf]],
+        ids=["short", "long", "two_d", "nan", "inf"],
+    )
+    def test_greedy_scores_must_be_a_finite_g_vector(self, scores):
+        values = np.array([[2.0, 0.5], [0.3, 1.5]])
+        with pytest.raises(ValueError, match="finite G-vector"):
+            greedy_cover_from_scores(values, 1.0, scores, [])
+
+    def test_covers_takes_column_indices(self):
+        values = np.array([[0.6, 0.1, 0.0]])
+        assert not covers(values, [0], 1.0)
+        assert covers(values, [0, 0], 1.0)  # a column listed twice counts twice
+        for subset in ([-3], [3], [0, -1], [0.5], [True]):
+            # numpy would read -3 as column 0
+            with pytest.raises(ValueError, match="column indices"):
+                covers(values, subset, 1.0)
 
 
 def test_config_validation():
