@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,16 +6,20 @@ import pytest
 from scipy import sparse
 
 from absplace import (
+    ChannelParams,
     DomainError,
     Measurement,
     Point3,
     RegularGrid3,
+    ScenarioParams,
     Segment3,
     SlfField,
+    build_urban,
     estimate_slf,
     line_integrals,
     read_measurements_csv,
     read_slf_text,
+    sample_users,
     shadowing_ellipsoid_sum,
     shadowing_line_integral,
     traverse_voxels,
@@ -178,6 +183,25 @@ def edge_case_links(rng, grid, n=1200):
     return a, b
 
 
+def outer_boundary_links(rng, grid, per=10):
+    """Links from face-biased points to points on each of the grid's 6
+    outer faces, 12 edges and 8 corners, ``per`` of each, then the same
+    links reversed."""
+    lo, hi = grid.domain_bounds()
+    ends = []
+    for sides in itertools.product(("lo", "hi", None), repeat=3):
+        if sides == (None, None, None):
+            continue
+        b = rng.uniform(lo, hi, (per, 3))
+        for j, side in enumerate(sides):
+            if side is not None:
+                b[:, j] = lo[j] if side == "lo" else hi[j]
+        ends.append(b)
+    b = np.concatenate(ends)
+    a = face_biased_points(rng, grid, len(b))
+    return np.concatenate([a, b]), np.concatenate([b, a])
+
+
 def scalar_integrals(field, a, b):
     """traverse_voxels + TraversalResult.integrate, link by link."""
     out = []
@@ -208,18 +232,68 @@ class TestBatchedKernel:
             got = line_integrals(field, a, b)
             np.testing.assert_allclose(got, scalar_integrals(field, a, b), rtol=1e-13, atol=0)
 
-    def test_intervals_match_marcher_exactly(self):
-        # same voxels and bit-identical parameter lengths, link by link
-        rng = np.random.default_rng(61)
-        grid = SKEWED
+    @staticmethod
+    def assert_marcher_intervals(grid, a, b):
+        """Same voxels and bit-identical parameter lengths as the marcher,
+        link by link."""
         ny, nz = grid.dims[1], grid.dims[2]
-        a, b = edge_case_links(rng, grid)
         keep, lengths, flat = tomography._chunk_intervals(grid, a, b)
         for i, (p, q) in enumerate(zip(a, b)):
             trav = traverse_voxels(grid, Segment3(Point3(*p), Point3(*q)))
             v = trav.voxels
             np.testing.assert_array_equal(flat[i][keep[i]], (v[:, 0] * ny + v[:, 1]) * nz + v[:, 2])
             np.testing.assert_array_equal(lengths[i][keep[i]], trav.interval_lengths())
+
+    def test_intervals_match_marcher_exactly(self):
+        rng = np.random.default_rng(61)
+        for grid in self.grids():
+            self.assert_marcher_intervals(grid, *edge_case_links(rng, grid))
+
+    def test_outer_boundary_intervals_match_marcher_exactly(self):
+        # a far end on an outer face can put the grid exit just before
+        # t = 1, where the kernel's exit threshold, not t = 1, stops it
+        # (on the unit grid every exit rounds to exactly 1)
+        rng = np.random.default_rng(66)
+        early = 0
+        for grid in self.grids():
+            a, b = outer_boundary_links(rng, grid)
+            early += np.count_nonzero(tomography._link_setup(grid, a, b)[-1] < 1.0)
+            self.assert_marcher_intervals(grid, a, b)
+        assert early > 100
+
+    def test_city_intervals_match_marcher_exactly(self):
+        # ground-to-air links of a city's 17 x 17 x 8 loss grid, users on
+        # its lower outer face, to every allowed flight point
+        params = ScenarioParams(building_height=60.0, slf_dims=(17, 17, 8), flight_dims=(10, 8, 4))
+        chan = ChannelParams(
+            wavelength=0.125, bandwidth=20e6, tx_power=0.1, noise_power=1e-12, min_rate=5e6
+        )
+        city = build_urban(params, chan)
+        users = np.array([p.as_tuple() for p in sample_users(city, 4, rng=67)])
+        flight = np.array([p.as_tuple() for p in city.flight_points])
+        a, b = np.repeat(users, len(flight), axis=0), np.tile(flight, (len(users), 1))
+        self.assert_marcher_intervals(city.slf.grid, a, b)
+
+    def test_links_do_not_depend_on_their_batch(self):
+        # each link's intervals in a mixed batch of five chunks, bit for bit
+        # those of the link run alone
+        rng = np.random.default_rng(68)
+        for grid in self.grids():
+            a, b = edge_case_links(rng, grid)
+            keep, lengths, flat = tomography._chunk_intervals(grid, a, b)
+            batch = [
+                (k[:, i], c[:, i], f[:, i])
+                for k, c, f in tomography._link_chunks(grid, a, b)
+                for i in range(k.shape[1])
+            ]
+            assert len(batch) == len(a)
+            for i, (chunk_keep, chunk_coeff, chunk_flat) in enumerate(batch):
+                k1, l1, f1 = tomography._chunk_intervals(grid, a[i : i + 1], b[i : i + 1])
+                np.testing.assert_array_equal(lengths[i][keep[i]], l1[0][k1[0]])
+                np.testing.assert_array_equal(flat[i][keep[i]], f1[0][k1[0]])
+                ((k2, c2, f2),) = tomography._link_chunks(grid, a[i : i + 1], b[i : i + 1])
+                np.testing.assert_array_equal(chunk_coeff[chunk_keep], c2[k2])
+                np.testing.assert_array_equal(chunk_flat[chunk_keep], f2[k2])
 
     def test_crossing_behind_start_clips_to_zero(self):
         # a sits on a voxel corner; one of its faces rounds to a parameter
@@ -515,6 +589,34 @@ class TestEstimation:
         fit = estimate_slf(meas, grid).values.ravel()
         assert np.isfinite(fit).all()
         assert np.all(fit.reshape(grid.dims)[:, :, 2] == 0.0)
+
+    def test_solve_equals_plain_sparse_lsmr(self):
+        # estimate_slf hands lsmr a linear operator; it must be the same
+        # linear map, with the same rounding, as the stacked, column-scaled
+        # sparse matrix itself
+        from scipy.sparse.linalg import lsmr, norm
+
+        rng = np.random.default_rng(69)
+        grid = unit_grid((8, 7, 5))
+        n = 800
+        ground = rng.uniform(-0.5, [7.5, 6.5, -0.5], (n, 3))
+        air = rng.uniform([-0.5, -0.5, 1.0], [7.5, 6.5, 4.5], (n, 3))
+        y = line_integrals(random_field(rng, grid.dims, 0.0, 1.0), ground, air) + rng.normal(0.0, 1.0, n)
+        meas = [Measurement(Point3(*a), Point3(*b), v) for a, b, v in zip(ground, air, y)]
+        ridge = math.sqrt(tomography._RIDGE) * sparse.identity(grid.num_points)
+        a = sparse.vstack([tomography._design_matrix(meas, grid), ridge], format="csr")
+        scale = 1.0 / norm(a, axis=0)
+        want = scale * lsmr(
+            a @ sparse.diags(scale),
+            np.concatenate([y, np.zeros(grid.num_points)]),
+            atol=1e-12,
+            btol=1e-12,
+            conlim=1e14,
+            maxiter=50 * (grid.num_points + n),
+        )[0]
+        got = estimate_slf(meas, grid).values.ravel()
+        assert got.min() == 0.0 and want.min() < 0.0  # the clip is exercised
+        np.testing.assert_array_equal(got, np.maximum(want, 0.0))
 
     def test_iteration_count(self, monkeypatch):
         # the column-scaled solve takes 122 iterations here, the unscaled
