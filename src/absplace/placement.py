@@ -54,9 +54,12 @@ infeasibility guards).
 
 ``solve_placement`` prepares its instance once (``_Instance``): the entry
 guard, the canonical column order that every solve and greedy's tie-break
-use, the scaled capacities and their Z-step. Its ADMM rounds and the greedy
-rounding all share it, so a placement runs one lexicographic sort, not
-one per round.
+use (one stable argsort of the last row, which a tie there widens to the
+full lexicographic sort), and the capacities in that order scaled so the
+target is 1, with their Z-step. That order and scale are the instance's
+frame. Every ADMM round iterates in it (``_iterate``) and hands Z, U and
+rho to the next round without leaving it; greedy rounds from the same
+instance. ``admm_solve`` maps a single solve into a frame and back.
 
 The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
 rates are scaled to the target and residual balancing adapts rho, so one
@@ -466,8 +469,19 @@ def _check_rows_coverable(C, r_min: float) -> _Coverage:
 
 def _canonical_order(values: np.ndarray):
     """(order, rank): the lexicographic column order, stable on duplicates,
-    and its inverse, the canonical rank of every column."""
-    order = np.lexsort(values)
+    and its inverse, the canonical rank of every column.
+
+    The order is ``np.lexsort(values)``, whose primary key is the last row.
+    When that row holds no two equal entries (``==``, so -0.0 ties with
+    0.0) the other keys never decide, and one stable argsort of it gives
+    the same permutation; only a tie there runs the full lexicographic
+    sort. The values are finite, as every entry checks them.
+    """
+    last = values[-1]
+    order = np.argsort(last, kind="stable")
+    ranked = last[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.lexsort(values)
     rank = np.empty(order.size, dtype=int)
     rank[order] = np.arange(order.size)
     return order, rank
@@ -476,21 +490,109 @@ def _canonical_order(values: np.ndarray):
 class _Instance:
     """One placement instance, prepared once for all of its solves.
 
-    Holds what every ``admm_solve`` round and ``greedy_cover_from_scores``
-    would otherwise rebuild from the matrix: the entry guard's coverage
-    rule, the canonical column order and its inverse (greedy's tie-break
-    rank), the capacities in that order scaled to r_min = 1, and their
-    Z-step. The scaled capacities are gathered with ``take``, which returns
-    a C-ordered array where ``values[:, order]`` is column-major, so every
-    array of the solve shares one layout. Building it runs the entry guard.
+    Holds the instance's frame, in which every ADMM iteration runs: the
+    canonical column order and its inverse (greedy's tie-break rank), and
+    the capacities in that order scaled to r_min = 1, with their Z-step.
+    Also the entry guard's coverage rule and the target r_min. The scaled
+    capacities are gathered with ``take``, which returns a C-ordered array
+    where ``values[:, order]`` is column-major, so every array of the solve
+    shares one layout. Building it runs the entry guard.
     """
 
     def __init__(self, C, r_min: float):
         self.rule = _check_rows_coverable(C, r_min)
         self.values = values = self.rule.values
+        self.r_min = r_min
         self.order, self.rank = _canonical_order(values)
         self.cn = values.take(self.order, axis=1) / r_min
         self.z_step = _ZStep(self.cn, 1.0)
+
+    def cold_start(self):
+        """(Z, U) of a cold start, in the frame: Z at min(cn, 1 / G), U at zero."""
+        m, g = self.cn.shape
+        return np.minimum(self.cn, 1.0 / g), np.zeros((m, g))
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One solve in an instance's frame (``_iterate``).
+
+    R, Z, U are the final iterate in canonical column order with the target
+    at 1, and rho the final step. ``sup`` holds the column sup-norms of R,
+    which the objective computed. ``trace`` is in rate units, its
+    iterations numbered from 1; ``row_dev`` is the worst row-sum violation
+    of Z, with the target at 1.
+    """
+
+    R: np.ndarray
+    Z: np.ndarray
+    U: np.ndarray
+    rho: float
+    sup: np.ndarray
+    trace: np.ndarray
+    iterations: int
+    row_dev: float
+    converged: bool
+
+
+def _iterate(
+    inst: _Instance, w, Z, U, rho: float, max_iter: int, eps_abs: float, eps_rel: float
+) -> _Run:
+    """The ADMM iterations of ``admm_solve`` in the frame of ``inst``, from
+    Z, U and step rho, with the weights w in canonical column order.
+
+    Takes its inputs as checked. Stopping at ``max_iter`` logs the one
+    warning on the ``absplace`` logger.
+    """
+    m, g = inst.cn.shape
+    x_step = _XStep(w, m, rho)
+    z_step = inst.z_step
+    sq_mg = math.sqrt(m * g)
+    trace = []
+    row_dev = 0.0
+    converged = False
+    iterations = 0
+    for k in range(1, max_iter + 1):
+        iterations = k
+        R, _ = x_step(Z - U)
+        z_new = z_step(R + U) if z_step.above is None else z_step.follow(R + U)
+        U = U + R - z_new
+        primal = _norm(R - z_new)
+        dual = rho * _norm(z_new - Z)
+        Z = z_new
+        sums = Z.sum(axis=1)
+        row_dev = max(row_dev, float(sums.max()) - 1.0, 1.0 - float(sums.min()))
+        sup = np.abs(R).max(axis=0)
+        objective = float(w @ sup)
+        trace.append((k, primal, dual, objective))
+        tol = eps_abs * sq_mg + eps_rel * max(_norm(R), _norm(Z))
+        if primal <= tol and dual <= tol:
+            converged = True
+            break
+        if k % _BALANCE_EVERY or k > _BALANCE_UNTIL:
+            continue
+        # Residual balancing; U is scaled by 1 / rho, so it moves inversely.
+        if primal > _BALANCE_RATIO * dual:
+            factor = 2.0
+        elif dual > _BALANCE_RATIO * primal:
+            factor = 0.5
+        else:
+            continue
+        rho *= factor
+        U = U / factor
+        x_step.set_rho(rho)
+
+    r_min = inst.r_min
+    if not converged:
+        _log.warning(
+            "admm_solve stopped at max_iter = %d without converging: "
+            "primal %.3g, dual %.3g (rate units), rho %g",
+            iterations, primal * r_min, dual * r_min, rho,
+        )
+
+    trace_arr = np.array(trace)
+    trace_arr[:, 1:] *= r_min  # residuals and objective back to rate units
+    return _Run(R, Z, U, rho, sup, trace_arr, iterations, row_dev, converged)
 
 
 def admm_solve(
@@ -530,14 +632,14 @@ def admm_solve(
     is fixed, which keeps the fixed-step convergence guarantee. The
     returned ``rho`` and ``U`` are at the final step.
 
-    Columns are reordered internally into a canonical (lexicographic)
-    order before iterating and mapped back on return, so the result does
-    not depend on how the candidates happened to be enumerated (float
-    reductions are order-sensitive at machine precision, and greedy's
-    visit order could otherwise change on reordered input).
-    ``solve_placement`` computes that order, the guard and the scaled
-    capacities once per placement and passes its prepared instance in
-    place of the matrix.
+    The iterations run in the instance's frame (``_Instance``): columns in
+    a canonical (lexicographic) order and rates scaled so the target is 1.
+    The inputs are mapped into it and the result back on return, so the
+    result does not depend on how the candidates happened to be enumerated
+    (float reductions are order-sensitive at machine precision, and
+    greedy's visit order could otherwise change on reordered input).
+    ``solve_placement`` runs the same iterations (``_iterate``) for all its
+    rounds in one frame, without mapping between them.
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
@@ -546,76 +648,37 @@ def admm_solve(
     rho = _RHO if start is None else start.rho
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be finite and positive, got {rho}")
-    inst = C if isinstance(C, _Instance) else _Instance(C, r_min)
+    inst = _Instance(C, r_min)
     m, g = inst.values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
     if w.shape != (g,) or not (np.isfinite(w).all() and (w >= 0).all()):
         raise ValueError("w must be a finite nonnegative G-vector")
 
     order, invert = inst.order, inst.rank
-    w = w[order]
     if start is None:
-        Z, U = np.minimum(inst.cn, 1.0 / g), np.zeros((m, g))
+        Z, U = inst.cold_start()
     else:
         Z, U = (np.asarray(a, dtype=float) for a in (start.Z, start.U))
         if not (Z.shape == U.shape == (m, g) and np.isfinite(Z).all() and np.isfinite(U).all()):
             raise ValueError("start.Z and start.U must be finite M x G arrays")
         Z, U = Z.take(order, axis=1) / r_min, U.take(order, axis=1) / r_min
-    x_step = _XStep(w, m, rho)
-    z_step = inst.z_step
-    sq_mg = math.sqrt(m * g)
-    trace = []
-    row_dev = 0.0
-    converged = False
-    iterations = 0
-    for k in range(1, max_iter + 1):
-        iterations = k
-        R, _ = x_step(Z - U)
-        z_new = z_step(R + U) if z_step.above is None else z_step.follow(R + U)
-        U = U + R - z_new
-        primal = _norm(R - z_new)
-        dual = rho * _norm(z_new - Z)
-        Z = z_new
-        sums = Z.sum(axis=1)
-        row_dev = max(row_dev, float(sums.max()) - 1.0, 1.0 - float(sums.min()))
-        objective = float(w @ np.abs(R).max(axis=0))
-        trace.append((k, primal, dual, objective))
-        tol = eps_abs * sq_mg + eps_rel * max(_norm(R), _norm(Z))
-        if primal <= tol and dual <= tol:
-            converged = True
-            break
-        if k % _BALANCE_EVERY or k > _BALANCE_UNTIL:
-            continue
-        # Residual balancing; U is scaled by 1 / rho, so it moves inversely.
-        if primal > _BALANCE_RATIO * dual:
-            factor = 2.0
-        elif dual > _BALANCE_RATIO * primal:
-            factor = 0.5
-        else:
-            continue
-        rho *= factor
-        U = U / factor
-        x_step.set_rho(rho)
-
-    if not converged:
-        _log.warning(
-            "admm_solve stopped at max_iter = %d without converging: "
-            "primal %.3g, dual %.3g (rate units), rho %g",
-            iterations, primal * r_min, dual * r_min, rho,
-        )
-
-    trace_arr = np.array(trace)
-    trace_arr[:, 1:] *= r_min  # residuals and objective back to rate units
+    run = _iterate(inst, w[order], Z, U, rho, max_iter, eps_abs, eps_rel)
     return AdmmState(
-        R=R[:, invert] * r_min,
-        Z=Z[:, invert] * r_min,
-        U=U[:, invert] * r_min,
-        rho=rho,
-        iterations=iterations,
-        converged=converged,
-        trace=trace_arr,
-        row_sum_max_dev=row_dev * r_min,
+        R=run.R[:, invert] * r_min,
+        Z=run.Z[:, invert] * r_min,
+        U=run.U[:, invert] * r_min,
+        rho=run.rho,
+        iterations=run.iterations,
+        converged=run.converged,
+        trace=run.trace,
+        row_sum_max_dev=run.row_dev * r_min,
     )
+
+
+def _weights(sup: np.ndarray, r_min: float) -> np.ndarray:
+    """``reweight``'s weights from the column sup-norms ``sup``."""
+    w = 1.0 / (_REWEIGHT_EPS + sup / r_min)
+    return w / w.max()
 
 
 def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
@@ -627,8 +690,7 @@ def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
     weights. The common scale leaves the argmin unchanged but keeps the
     slack costs commensurate with rho, which conditions the iteration.
     """
-    w = 1.0 / (_REWEIGHT_EPS + np.abs(R).max(axis=0) / r_min)
-    return w / w.max()
+    return _weights(np.abs(R).max(axis=0), r_min)
 
 
 def _column_indices(name: str, indices, g: int) -> list:
@@ -718,34 +780,43 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     """Reweighted ADMM placement: solve, then round greedily.
 
     Runs ``_ROUNDS`` solves (uniform weights first, then reweighted), each
-    warm-started from the previous round's state and stopped at
+    warm-started from the previous round's iterate and step and stopped at
     ``_MAX_ITER`` iterations or at the tolerances ``_EPS_ABS`` and
-    ``_EPS_REL``; the first starts at step ``_RHO``. These module constants
-    are read at each call. ``greedy_cover_from_scores`` then rounds the
-    column sup-norms of the final R from the empty set against the actual
-    capacities, so the returned placement is always feasible with no
-    redundant station.
+    ``_EPS_REL``; the first starts cold at step ``_RHO``. These module
+    constants are read at each call. ``greedy_cover_from_scores`` then
+    rounds the column sup-norms of the final R from the empty set against
+    the actual capacities, so the returned placement is always feasible
+    with no redundant station.
+
+    The instance is prepared once (``_Instance``) and every round iterates
+    in its frame (``_iterate``). The result equals, bit for bit, the chain
+    of ``admm_solve`` calls with ``start=state`` and ``reweight`` of each
+    state's R: a later round starts from Z * r_min / r_min and
+    U * r_min / r_min, which is what ``admm_solve`` computes from a state
+    held in rate units, and the weights and scores come from the frame's
+    sup-norms times r_min, which equal the column sup-norms of R in rate
+    units exactly (rounding a product by r_min > 0 is monotone and
+    symmetric in sign).
     """
     inst = _Instance(C, r_min)  # the guard, canonical order and Z-step, once
     values = inst.values
-    w = None  # uniform in the first round
+    w = np.ones(values.shape[1])  # uniform in the first round
+    Z, U = inst.cold_start()
+    rho = _RHO
     traces = []
     iterations = 0  # the trace offset of the next round
     all_converged = True
-    state = None
     for k in range(_ROUNDS):
         if k:
-            w = reweight(state.R, r_min)
-        state = admm_solve(
-            inst, r_min, w=w, max_iter=_MAX_ITER, eps_abs=_EPS_ABS, eps_rel=_EPS_REL, start=state
-        )
-        tr = state.trace.copy()
-        tr[:, 0] += iterations
-        traces.append(tr)
-        iterations += state.iterations
-        all_converged = all_converged and state.converged
+            w = _weights(run.sup * r_min, r_min)
+            Z, U, rho = run.Z * r_min / r_min, run.U * r_min / r_min, run.rho
+        run = _iterate(inst, w, Z, U, rho, _MAX_ITER, _EPS_ABS, _EPS_REL)
+        run.trace[:, 0] += iterations
+        traces.append(run.trace)
+        iterations += run.iterations
+        all_converged = all_converged and run.converged
 
-    scores = np.abs(state.R).max(axis=0)
+    scores = (run.sup * r_min)[inst.rank]
     selected = greedy_cover_from_scores(inst, r_min, scores, ())
     rates = values[:, selected].sum(axis=1)
     positions = tuple(C.candidates[g] for g in selected) if isinstance(C, CapacityMatrix) else ()

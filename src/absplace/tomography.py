@@ -420,8 +420,10 @@ def _design_matrix(measurements, grid: RegularGrid3):
     as a ``scipy.sparse.csr_matrix``."""
     from scipy import sparse
 
-    starts = np.array([m.tx.as_tuple() for m in measurements], dtype=float)
-    ends = np.array([m.rx.as_tuple() for m in measurements], dtype=float)
+    links = np.array(
+        [(m.tx.x, m.tx.y, m.tx.z, m.rx.x, m.rx.y, m.rx.z) for m in measurements], dtype=float
+    ).reshape(-1, 6)
+    starts, ends = links[:, :3], links[:, 3:]
     counts, cols, data = [], [], []
     for keep, coeff, flat in _link_chunks(grid, starts, ends):
         counts.append(keep.sum(axis=0))

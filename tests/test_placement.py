@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from absplace import (
     CapacityMatrix,
+    ChannelParams,
     InfeasibleError,
     Point3,
+    ScenarioParams,
     admm_solve,
+    build_capacity_matrix,
+    build_urban,
     covers,
+    noise_power_from_dbm,
     reweight,
+    sample_users,
     solve_epigraph_lp,
     solve_placement,
     write_trace_csv,
@@ -583,6 +589,74 @@ class TestPreparedInstance:
             self.check(values, r_min)
             self.check(as_matrix(values), r_min)
 
+    @pytest.mark.parametrize("settings", [{}, {"_ROUNDS": 1}], ids=["default", "one_round"])
+    def test_matches_public_composition_on_city(self, settings, monkeypatch, urban_matrices):
+        # 20 users x 288 candidates. At these targets Z * r_min / r_min and
+        # U * r_min / r_min differ from Z and U in thousands of entries of
+        # the rounds' iterates (at 7.3e7, 1.37e8 and 2.9e8 in none), so a
+        # hand-off between rounds that skipped the round trip through rate
+        # units would show.
+        for name, value in settings.items():
+            monkeypatch.setattr(placement, name, value)
+        for cm in urban_matrices:
+            for r_min in (1.1e8, 2.1e8, 3.5e8):
+                self.check(cm, r_min)
+
+
+@pytest.fixture(scope="module")
+def urban_matrices():
+    """Capacity matrices of two user draws in the benchmark's urban city."""
+    params = ScenarioParams(building_height=60.0, slf_dims=(17, 17, 8), flight_dims=(10, 8, 4))
+    chan = ChannelParams.from_frequency(
+        2.4e9, bandwidth=20e6, tx_power=0.1, noise_power=noise_power_from_dbm(-96), min_rate=5e6
+    )
+    city = build_urban(params, chan)
+    return [
+        build_capacity_matrix(chan, sample_users(city, 20, rng=seed), city.flight_points, city.slf)
+        for seed in (300, 301)
+    ]
+
+
+class TestCanonicalOrder:
+    """One stable argsort of the last row, widened to ``np.lexsort`` on a tie
+    there, gives lexsort's permutation."""
+
+    @staticmethod
+    def families(rng):
+        g = int(rng.integers(2, 30))
+        m = int(rng.integers(1, 5))
+        values = rng.uniform(0.0, 1.0, (m, g))
+        yield "distinct", values
+        yield "duplicate columns", values[:, rng.integers(0, g, g + 3)]
+        tied = values.copy()
+        tied[-1] = rng.choice([0.25, 0.5], g)  # ties in the last row only
+        yield "last-row ties", tied
+        flat = values.copy()
+        flat[-1] = 0.5
+        yield "all-equal last row", flat
+        signed = values.copy()
+        signed[-1, :2] = (-0.0, 0.0)
+        yield "-0.0 beside 0.0", signed
+        yield "single row", values[-1:]
+        yield "single column", values[:, :1]
+        yield "coarse grid", np.round(values * 3.0) / 3.0
+
+    def test_equals_lexsort(self):
+        rng = np.random.default_rng(70)
+        for _ in range(40):
+            for name, values in self.families(rng):
+                order, rank = placement._canonical_order(values)
+                want = np.lexsort(values)
+                np.testing.assert_array_equal(order, want, err_msg=name)
+                np.testing.assert_array_equal(rank[want], np.arange(want.size), err_msg=name)
+
+    def test_signed_zero_takes_the_full_sort(self):
+        # -0.0 and 0.0 are equal keys: an argsort of the last row alone
+        # could order them either way, so the other rows must decide
+        values = np.array([[1.0, 0.0, 2.0], [0.0, -0.0, 3.0]])
+        np.testing.assert_array_equal(placement._canonical_order(values)[0], [1, 0, 2])
+        np.testing.assert_array_equal(np.lexsort(values), [1, 0, 2])
+
 
 # One row whose float sums lose the ten tiny entries that its exact sum keeps:
 # r_min is that exact sum, so only the full set covers.
@@ -923,4 +997,22 @@ class TestNonConvergenceWarning:
         with caplog.at_level(logging.WARNING, logger="absplace"):
             st = admm_solve(values, r_min, w=w, **CRITERION_06_TOLERANCES)
         assert st.converged
+        assert caplog.records == []
+
+    def test_placement_warns_once_per_capped_round(self, caplog, monkeypatch):
+        values, r_min, _ = criterion_06_instance(49)
+        monkeypatch.setattr(placement, "_MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="absplace"):
+            result = solve_placement(values, r_min)
+        assert not result.converged
+        assert result.iterations == placement._ROUNDS
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == placement._ROUNDS
+        assert all("max_iter = 1" in r.getMessage() for r in warnings)
+
+    def test_converged_placement_logs_nothing(self, caplog):
+        values, r_min, _ = criterion_06_instance(49)
+        with caplog.at_level(logging.WARNING, logger="absplace"):
+            result = solve_placement(values, r_min)
+        assert result.converged
         assert caplog.records == []
