@@ -2,14 +2,15 @@
 
     python3 scripts/bench_snapshot.py --label baseline --seed 1 --seconds 35
 
-Runs benchmarks/run.py on each workload at one seed, first with --trace 0
-(the end-to-end metrics of a run of --seconds) and then with --trace 1 (the
-per-layer metrics of one traced round), and writes BENCH_<label>.json into
---out (default: the root of the source tree). The file holds, per
-workload, both metric sets with their units and, per run, whether every
-check passed and how many operations it attempted and failed; next to them
-stands the environment stamp of the runs. Exits 1 when a run failed a
-check or did not finish; the file is written all the same.
+Runs benchmarks/run.py at one seed on each workload that BENCHMARK.json
+declares, first with --trace 0 (the end-to-end metrics of a run of
+--seconds) and then with --trace 1 (the per-layer metrics of one traced
+round), and writes BENCH_<label>.json into --out (default: the root of the
+source tree). The file holds, per workload, both metric sets with their
+units and, per run, whether every check passed and how many operations it
+attempted and failed; next to them stands the environment stamp of the
+runs. Exits 1 when a run failed a check or did not finish; the file is
+written all the same.
 """
 
 import argparse
@@ -20,7 +21,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("urban_place", "admm_family", "competitor_sweep")
+
+
+def workloads() -> list[str]:
+    """The workload names that BENCHMARK.json declares, in its order."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
 
 
 def parse_args(argv):
@@ -64,7 +70,7 @@ def main(argv) -> int:
     snapshot = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
                 "environment": None, "workloads": {}}
     ok = True
-    for workload in WORKLOADS:
+    for workload in workloads():
         entry = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
             env, result = run_once(workload, args.seed, args.seconds, trace)

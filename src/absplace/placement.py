@@ -64,8 +64,9 @@ instance. ``admm_solve`` maps a single solve into a frame and back.
 The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
 rates are scaled to the target and residual balancing adapts rho, so one
 set serves every instance. ``admm_solve`` cold-starts at ``_RHO`` or resumes
-from an earlier ``AdmmState``. Every entry point checks the target rate in
-``_coverage_rule``: finite and positive, else ValueError.
+from an earlier ``AdmmState``. Every entry point checks the target rate,
+in ``_coverage_rule`` or in ``reweight``: finite and positive, else
+ValueError.
 """
 
 from __future__ import annotations
@@ -212,8 +213,8 @@ class _ZStep:
     Row m's shift lam solves G(lam) = r_min, where the float function
     G(t) = sum(max(0, min(c, b - t))) is the row sum of the z that the step
     returns at t. The breakpoints of a row are the floats b - c and b of its
-    entries, plus -inf and +inf. The piece of t is (L, H], from the largest
-    breakpoint below t to the smallest at or above it. On it an entry is
+    entries. The piece of t is (L, H], from the largest breakpoint below t
+    (or -inf) to the smallest at or above it (or +inf). On it an entry is
     full when its b - c >= t, zero when b < t and open otherwise, so each
     entry is classified against its own two breakpoints; n counts the open
     entries.
@@ -241,7 +242,10 @@ class _ZStep:
     bracket, else to the next piece on the root's side: just above H or at
     L, which also leaves flat pieces. Every such pass moves lo up or hi
     down to a breakpoint strictly inside the bracket, so a row is final
-    within 2G + 1 passes; more raise RuntimeError.
+    within 2G + 1 passes; more raise RuntimeError. A pass is the same array
+    operations whatever M is, with the brackets and shifts as M-vectors
+    under row masks, so a row of a C-ordered batch ends with the bits it
+    ends with alone, and the batch takes the passes of its slowest row.
 
     ``follow`` warm-starts from the previous call: its first pass keeps
     each entry's class from the final pass before, so L and H are the
@@ -251,20 +255,19 @@ class _ZStep:
     calls take this one pass. ``passes`` counts the passes of the last call.
 
     A row whose float sum(C) does not exceed r_min (it reaches r_min only in
-    exact arithmetic, or exactly) returns lam = -inf and z = c exactly.
-    The per-problem invariants are built once, and solve_placement's
-    ``_Instance`` shares one _ZStep among all its rounds.
+    exact arithmetic, or exactly) takes no step and returns lam = -inf and
+    z = c exactly. The per-problem invariants are built once, and
+    solve_placement's ``_Instance`` shares one _ZStep among all its rounds.
     """
 
     def __init__(self, C: np.ndarray, r_min: float):
-        m, g = C.shape
+        g = C.shape[1]
         self.C = C
         self.r_min = r_min
         short = C.sum(axis=1) <= r_min
         self.short = short if short.any() else None
-        # n = #(b >= t) - #(b - c >= t): the -inf and +inf columns count 0
-        self.sign = np.concatenate((np.repeat([-1.0, 1.0], g), [0.0, 0.0]))
-        self.infinities = np.tile([-np.inf, np.inf], (m, 1))
+        # n = #(b >= t) - #(b - c >= t) over the breakpoint columns K = [B - C, B]
+        self.sign = np.repeat([-1.0, 1.0], g)
         self.max_passes = 2 * g + 1
         self.passes = 0
         self.lam = None  # the final shifts of the last call
@@ -283,43 +286,32 @@ class _ZStep:
     def _search(self, B, t, above):
         """The search from shifts t, or from the classes ``above`` of K."""
         C, r_min, short = self.C, self.r_min, self.short
-        K = np.concatenate((B - C, B, self.infinities), axis=1)  # the breakpoints
-        lo = hi = None
+        K = np.concatenate((B - C, B), axis=1)  # the breakpoints
+        lo, hi = -np.inf, np.inf  # the brackets, M-vectors once a row steps
         for passes in range(1, self.max_passes + 1):
             if above is None:
                 above = K >= t[:, None]
-            WL = np.where(above, -np.inf, K)
-            WH = np.where(above, K, np.inf)
-            L = WL.max(axis=1)
-            H = WH.min(axis=1)
+            L = np.where(above, -np.inf, K).max(axis=1)
+            H = np.where(above, K, np.inf).min(axis=1)
             # E = r_min - G at L and at H
             E = r_min - np.maximum(0.0, np.minimum(C, B - np.array((L, H))[:, :, None])).sum(axis=2)
             x = L - E[0] / np.maximum(above @ self.sign, 1.0)
-            e_low, e_high = E.tolist()
-            if max(e_low) < 0.0 <= min(e_high):
+            over = E < 0.0  # G > r_min
+            if np.count_nonzero(over[0]) == len(B) and not np.count_nonzero(over[1]):
                 break  # every piece is final
-            # The rows whose piece is not final take one safeguarded step
-            # each; this is O(M) scalar work beside the O(MG) pass. A row that
-            # stays puts t at H, which keeps its classes.
-            if lo is None:
-                lo, hi = [-math.inf] * C.shape[0], [math.inf] * C.shape[0]
-            t_next = (H if t is None else t).tolist()
-            busy = False
-            for m, (el, eh, l, h, xm) in enumerate(zip(e_low, e_high, L.tolist(), H.tolist(), x.tolist())):
-                if short is not None and short[m]:
-                    continue
-                if eh < 0.0:  # G(H) > r_min: the root lies above H
-                    lo[m] = h
-                    t_next[m] = xm if h < xm < hi[m] else math.nextafter(h, math.inf)
-                elif el >= 0.0:  # G(L) <= r_min: the root lies at or below L
-                    hi[m] = l
-                    t_next[m] = xm if lo[m] < xm < l else l
-                else:
-                    continue
-                busy = True
-            if not busy:
+            # The other rows move to x if inside their new bracket, else to
+            # the next piece; a row that stays puts t at H, keeping its classes.
+            up = over[1]  # G(H) > r_min: the root lies above H
+            moving = up | ~over[0]  # or G(L) <= r_min: it lies at or below L
+            if short is not None:
+                moving &= ~short
+            if not np.count_nonzero(moving):
                 break
-            t = np.array(t_next)
+            down = moving ^ up  # the moving rows whose root lies at or below L
+            lo = np.where(up, H, lo)
+            hi = np.where(down, L, hi)
+            step = np.where((lo < x) & (x < hi), x, np.where(up, np.nextafter(H, np.inf), L))
+            t = np.where(moving, step, H)
             above = None
         else:
             raise RuntimeError(f"Z-step shift not settled after {self.max_passes} passes")
@@ -689,7 +681,11 @@ def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
     ``_REWEIGHT_EPS`` is scale-free; larger columns get strictly smaller
     weights. The common scale leaves the argmin unchanged but keeps the
     slack costs commensurate with rho, which conditions the iteration.
+    Raises ValueError unless r_min is finite and positive and R finite.
     """
+    if not (r_min > 0 and math.isfinite(r_min)):
+        raise ValueError(f"target rate must be finite and positive, got {r_min}")
+    (R,) = _finite_vectors(R=R)
     return _weights(np.abs(R).max(axis=0), r_min)
 
 

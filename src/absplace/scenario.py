@@ -239,6 +239,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown solvers {sorted(unknown)}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
+        # each name is run and summarised, so a repeat would count twice
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ValueError(f"solvers must be distinct, got {self.solvers}")
         if self.sweep == "num_users" and not all(float(v).is_integer() for v in self.values):
             raise ValueError(f"num_users sweep values must be whole numbers, got {self.values}")
         for value in self.values:  # each sweep point must pass the scenario/channel checks

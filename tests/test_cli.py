@@ -245,6 +245,8 @@ class TestConfigHandling:
             (['experiment.values=["2e6"]'], "experiment.values: cannot read"),
             # a negative seed, which numpy's SeedSequence rejects with a traceback
             (["experiment.seed=-1"], "experiment: seed must be nonnegative, got -1"),
+            # repeated solvers, which would be run and summarised once per copy
+            (["experiment.solvers=[admm,admm]"], "experiment: solvers must be distinct"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):

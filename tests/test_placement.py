@@ -358,6 +358,87 @@ class TestZStepStarts:
             assert step.passes == 1
         assert most > 2  # the rows do exercise the bracketed steps
 
+    def test_newton_steps_skip_pieces(self):
+        # breakpoints -10..-6 and 0..4, root 2.75 on the piece (2, 3]. From
+        # -5 the Newton points 1.7 and 2.5 lie inside their brackets; from 10
+        # the point 2.5 does. Walking one piece a pass would take 4 and 3.
+        from absplace.placement import _ZStep
+
+        C, B = np.full((1, 5), 10.0), np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
+        step = _ZStep(C, 1.5)
+        for start, passes in ((-5.0, 3), (10.0, 2)):
+            np.testing.assert_array_equal(step(B, np.array([start])), [[0.0, 0.0, 0.0, 0.25, 1.25]])
+            assert step.passes == passes
+
+    @classmethod
+    def adversarial_batch(cls, rng, g):
+        """Adversarial rows of width g, each scaled to the target 1, with a
+        row short of the target and a row that settles in the first pass
+        (every entry open at its root), in random order."""
+        rows = []
+        for _ in range(int(rng.integers(2, 6))):
+            b, c, r_min = cls.adversarial_rows(rng, g)
+            rows.append((b[0] / r_min, c[0] / r_min))
+        rows.append((rng.normal(0.0, 1.0, g), rng.uniform(0.1, 0.9, g) / g))
+        rows.append(((1.0 + rng.uniform(-0.01, 0.01, g)) / g, np.full(g, 1e3)))
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        return np.array([b for b, _ in rows]), np.array([c for _, c in rows]), 1.0
+
+    def test_batch_rows_equal_single_rows(self):
+        # the rows of a batch are searched side by side: each ends with the
+        # bits it ends with alone from the same start, and the batch takes
+        # as many passes as its slowest row, by follow as well
+        from absplace.placement import _ZStep
+
+        rng = np.random.default_rng(58)
+        most = 0
+        for _ in range(60):
+            g = int(rng.integers(2, 40))
+            B, C, r_min = self.adversarial_batch(rng, g)
+            m = B.shape[0]
+            assert (C.sum(axis=1) <= r_min).sum() == 1
+            batch = _ZStep(C, r_min)
+            singles = [_ZStep(C[i : i + 1], r_min) for i in range(m)]
+            moved = B + rng.normal(0.0, 1.0, B.shape) * np.abs(B).max(axis=1, keepdims=True) * 1e-3
+            for start in (None, np.full(m, -1e300), np.full(m, 1e300), rng.normal(0.0, 1e6, m), "follow"):
+                if start is None:
+                    Z, rows = batch(B), [s(B[i : i + 1]) for i, s in enumerate(singles)]
+                    assert sorted(s.passes for s in singles)[1] == 1  # the short and the open row
+                elif isinstance(start, str):
+                    Z, rows = batch.follow(moved), [s.follow(moved[i : i + 1]) for i, s in enumerate(singles)]
+                else:
+                    Z, rows = batch(B, start), [s(B[i : i + 1], start[i : i + 1]) for i, s in enumerate(singles)]
+                for i, s in enumerate(singles):
+                    assert_same_bits(Z[i], rows[i][0])
+                    assert_same_bits(batch.lam[i], s.lam[0])
+                assert batch.passes == max(s.passes for s in singles)
+                most = max(most, batch.passes)
+        assert most > 2  # the batches do exercise the bracketed steps
+
+    def test_pass_cap_raises_for_one_row_of_a_batch(self):
+        from absplace.placement import _ZStep
+
+        rng = np.random.default_rng(59)
+        raised = 0
+        for _ in range(40):
+            B, C, r_min = self.adversarial_batch(rng, int(rng.integers(2, 40)))
+            passes = []
+            for i in range(B.shape[0]):
+                single = _ZStep(C[i : i + 1], r_min)
+                single(B[i : i + 1])
+                passes.append(single.passes)
+            slowest, runner_up = sorted(passes)[-1:-3:-1]
+            if slowest == runner_up:
+                continue
+            step = _ZStep(C, r_min)
+            step.max_passes = runner_up  # enough for every row but the slowest
+            with pytest.raises(RuntimeError, match="not settled"):
+                step(B)
+            step.max_passes = slowest
+            step(B)
+            raised += 1
+        assert raised > 10
+
     def test_pass_cap_raises(self):
         from absplace.placement import _ZStep
 
@@ -893,21 +974,31 @@ def test_warm_start_must_be_finite_m_by_g(field, bad):
         admm_solve(values, r_min, start=dataclasses.replace(state, **{field: a}))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0], ids=["nan", "inf", "negative", "zero"])
 def test_weights_and_steps_must_be_finite(bad):
     # a NaN weight used to run admm_solve all its iterations into a NaN R
     # with only a warning, an infinite one returned a NaN R at once, and
-    # x_step_column returned NaN for a NaN weight or step
+    # x_step_column returned NaN for a NaN weight or step; reweight gave
+    # uniform weights for a negative target, NaN weights for a NaN target
+    # or R, and a RuntimeWarning for a zero target on a zero R
     values, r_min = random_feasible_instance(np.random.default_rng(33))
-    w = np.ones(values.shape[1])
-    w[0] = bad
-    with pytest.raises(ValueError, match="w must be a finite nonnegative G-vector"):
-        admm_solve(values, r_min, w=w)
     z, u = np.array([0.4, 1.2]), np.zeros(2)
-    with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
-        x_step_column(z, u, w_g=bad, rho=1.0)
+    if bad != 0.0:  # a zero weight is valid: its column has no slack cost
+        w = np.ones(values.shape[1])
+        w[0] = bad
+        with pytest.raises(ValueError, match="w must be a finite nonnegative G-vector"):
+            admm_solve(values, r_min, w=w)
+        with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
+            x_step_column(z, u, w_g=bad, rho=1.0)
     with pytest.raises(ValueError, match="rho must be finite and positive"):
         x_step_column(z, u, w_g=1.0, rho=bad)
+    with pytest.raises(ValueError, match="target rate must be finite and positive"):
+        reweight(np.zeros_like(values) if bad == 0.0 else values, bad)
+    if not math.isfinite(bad):
+        R = values.copy()
+        R[0, 0] = bad
+        with pytest.raises(ValueError, match="R must be finite"):
+            reweight(R, r_min)
 
 
 def test_warm_start_resumes_at_optimum():

@@ -311,3 +311,10 @@ class TestRunExperiment:
         for sweep, value in (("num_users", 0.0), ("building_height", -5.0), ("min_rate", -1.0)):
             with pytest.raises(ValueError):
                 self.spec(sweep=sweep, values=(value,))
+
+    def test_repeated_solvers_rejected(self):
+        # each copy used to be run, so that one rate and two repetitions
+        # wrote four records and two equal summary rows of n_feasible 4
+        for solvers in (("admm", "admm"), ("admm", "exhaustive", "admm")):
+            with pytest.raises(ValueError, match="solvers must be distinct"):
+                self.spec(solvers=solvers)
