@@ -163,8 +163,6 @@ def _parse_channel(sec: _Section) -> ChannelParams:
         raise ConfigError("give exactly one of channel.wavelength_m / channel.frequency_hz")
     wavelength = sec.take("wavelength_m", float, None)
     frequency = sec.take("frequency_hz", float, None if has_wl else 2.4e9)
-    if wavelength is None:
-        wavelength = SPEED_OF_LIGHT / frequency
 
     has_w = sec.has("noise_power_w")
     has_dbm = sec.has("noise_power_dbm")
@@ -172,15 +170,21 @@ def _parse_channel(sec: _Section) -> ChannelParams:
         raise ConfigError("give exactly one of channel.noise_power_w / channel.noise_power_dbm")
     noise = sec.take("noise_power_w", float, None)
     noise_dbm = sec.take("noise_power_dbm", float, None if has_w else -96.0)
-    if noise is None:
-        noise = noise_power_from_dbm(noise_dbm)
 
     bandwidth = sec.take("bandwidth_hz", float, 20e6)
     tx_power = sec.take("tx_power_w", float, 0.1)
     min_rate = sec.take("min_rate_bps", float, 5e6)
     sec.finish()
     try:
+        if wavelength is None:
+            wavelength = SPEED_OF_LIGHT / frequency
+        if noise is None:
+            noise = noise_power_from_dbm(noise_dbm)
         return ChannelParams(wavelength, bandwidth, tx_power, noise, min_rate)
+    except ZeroDivisionError:
+        raise ConfigError(f"channel: frequency_hz must be strictly positive, got {frequency}") from None
+    except OverflowError:
+        raise ConfigError(f"channel: noise_power_dbm {noise_dbm} overflows the noise power in watts") from None
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from None
 

@@ -65,7 +65,7 @@ The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
 rates are scaled to the target and residual balancing adapts rho, so one
 set serves every instance. ``admm_solve`` cold-starts at ``_RHO`` or resumes
 from an earlier ``AdmmState``. Every entry point checks the target rate,
-in ``_coverage_rule`` or in ``reweight``: finite and positive, else
+in ``_Coverage`` or in ``reweight``: finite and positive, else
 ValueError.
 """
 
@@ -348,14 +348,17 @@ def x_step_column(z_col, u_col, w_g: float, rho: float):
     is min(z - u, s). The root is found exactly from the sorted column.
     For w_g = 0 the column is returned unchanged (r = z - u) and the slack
     reported as its maximum entry. Raises ValueError unless rho is finite
-    and positive, w_g finite and nonnegative, and z and u finite.
+    and positive, w_g finite and nonnegative, z and u finite, and z and u
+    1-D vectors of one length.
     """
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError(f"rho must be finite and positive, got {rho}")
     if not (w_g >= 0 and math.isfinite(w_g)):
         raise ValueError(f"weight must be finite and nonnegative, got {w_g}")
-    z, u = (a.reshape(-1, 1) for a in _finite_vectors(z_col=z_col, u_col=u_col))
-    R, s = _XStep(np.array([float(w_g)]), z.shape[0], rho)(z - u)
+    z, u = _finite_vectors(z_col=z_col, u_col=u_col)
+    if not (z.ndim == 1 and z.shape == u.shape):
+        raise ValueError("z_col and u_col must be 1-D vectors of one length")
+    R, s = _XStep(np.array([float(w_g)]), z.size, rho)((z - u)[:, None])
     return R[:, 0], float(s[0])
 
 
@@ -366,13 +369,15 @@ def z_step_row(r_row, u_row, c_row, r_min: float):
     is the one of ``_ZStep`` from its default start, so the result equals
     the row of a batched step on C-ordered arrays bit for bit. Raises
     ValueError unless r and u are finite (and c as every solver entry
-    checks it), then InfeasibleError when the row's total capacity cannot
-    reach r_min.
+    checks it), then ValueError unless r, u and c are 1-D vectors of one
+    length, then InfeasibleError when the row's total capacity cannot reach
+    r_min.
     """
-    r, u = (a.reshape(1, -1) for a in _finite_vectors(r_row=r_row, u_row=u_row))
-    c = np.asarray(c_row, dtype=float).reshape(1, -1)
-    _check_rows_coverable(c, r_min)
-    return _ZStep(c, float(r_min))(r + u)[0]
+    r, u = _finite_vectors(r_row=r_row, u_row=u_row)
+    rule = _Coverage(np.reshape(c_row, (1, -1)), r_min)
+    if not (np.ndim(c_row) == 1 and r.shape == u.shape == rule.values.shape[1:]):
+        raise ValueError("r_row, u_row and c_row must be 1-D vectors of one length")
+    return _ZStep(rule.coverable().values, float(r_min))((r + u)[None])[0]
 
 
 _EPS = float(np.finfo(float).eps)
@@ -382,8 +387,16 @@ _ABS_SUM_LIMIT = float(np.finfo(float).max) / 4
 
 
 class _Coverage:
-    """The one coverage rule: row m of a member set covers iff
-    ``math.fsum(values[m, members]) >= r_min``, decided from float totals.
+    """The solvers' entry guard and the one coverage rule: row m of a member
+    set covers iff ``math.fsum(values[m, members]) >= r_min``, decided from
+    float totals. ``values`` is ``C`` (a CapacityMatrix or an array) as a
+    float array. Building the rule raises ValueError unless r_min is finite
+    and positive, then, by CapacityMatrix's own check and before any shape
+    is read, unless the values are 2-D, finite and nonnegative (greedy
+    rounding needs coverage to grow with the set), and EmptyProblemError (a
+    ValueError) when there are no users, since no solver can place stations
+    for nobody. ``coverable`` then raises InfeasibleError naming the users
+    that even every column together leaves short.
 
     Callers keep the float row totals of the member columns. A total built
     from the columns of ``values`` (M x G) by at most 2G + 1 additions and
@@ -399,14 +412,30 @@ class _Coverage:
     ``values``: a boolean mask, an index sequence or a slice.
     """
 
-    def __init__(self, values: np.ndarray, r_min: float):
-        self.values = values
+    def __init__(self, C, r_min: float):
+        if not (r_min > 0 and math.isfinite(r_min)):
+            raise ValueError(f"target rate must be finite and positive, got {r_min}")
+        self.values = values = np.asarray(getattr(C, "values", C), dtype=float)
+        _check_capacities(values)
+        if values.shape[0] == 0:
+            raise EmptyProblemError("capacity matrix has no users to cover")
         self.r_min = r_min
         abs_sum = np.abs(values).sum(axis=1)
         pad = (2 * values.shape[1] + 2) * _EPS * abs_sum + _EPS * abs(r_min)
         pad[~(abs_sum < _ABS_SUM_LIMIT)] = np.inf
         self.lo = r_min - pad
         self.hi = r_min + pad
+
+    def coverable(self) -> "_Coverage":
+        """The rule itself, once every row covers with all columns as members."""
+        short = self.short_rows(slice(None), self.values.sum(axis=1))
+        if short.size:
+            raise InfeasibleError(
+                "users not coverable even with every candidate active: "
+                + ", ".join(str(int(m)) for m in short),
+                users=short.tolist(),
+            )
+        return self
 
     def short_rows(self, members, totals: np.ndarray) -> np.ndarray:
         """Indices of the rows whose exact member sum falls below r_min."""
@@ -422,41 +451,6 @@ class _Coverage:
         if (totals < self.lo).any():
             return False
         return self.short_rows(members, totals).size == 0
-
-
-def _coverage_rule(C, r_min: float) -> _Coverage:
-    """The coverage rule of ``C``, a CapacityMatrix or an array; its
-    ``values`` are the float array. Raises ValueError unless r_min is
-    finite and positive, then, by CapacityMatrix's own check and before any
-    shape is read, unless the values are 2-D, finite and nonnegative (greedy
-    rounding needs coverage to grow with the set), and EmptyProblemError (a
-    ValueError) when there are no users, since no solver can place stations
-    for nobody."""
-    if not (r_min > 0 and math.isfinite(r_min)):
-        raise ValueError(f"target rate must be finite and positive, got {r_min}")
-    values = np.asarray(getattr(C, "values", C), dtype=float)
-    _check_capacities(values)
-    if values.shape[0] == 0:
-        raise EmptyProblemError("capacity matrix has no users to cover")
-    return _Coverage(values, r_min)
-
-
-def _check_rows_coverable(C, r_min: float) -> _Coverage:
-    """The entry guard of the solvers; returns the coverage rule of ``C``.
-
-    ``C`` is what ``_coverage_rule`` takes, or a rule it built. Raises as
-    ``_coverage_rule`` does, then InfeasibleError naming the users that
-    even every column together leaves short.
-    """
-    rule = C if isinstance(C, _Coverage) else _coverage_rule(C, r_min)
-    short = rule.short_rows(slice(None), rule.values.sum(axis=1))
-    if short.size:
-        raise InfeasibleError(
-            "users not coverable even with every candidate active: "
-            + ", ".join(str(int(m)) for m in short),
-            users=short.tolist(),
-        )
-    return rule
 
 
 def _canonical_order(values: np.ndarray):
@@ -492,7 +486,7 @@ class _Instance:
     """
 
     def __init__(self, C, r_min: float):
-        self.rule = _check_rows_coverable(C, r_min)
+        self.rule = _Coverage(C, r_min).coverable()
         self.values = values = self.rule.values
         self.r_min = r_min
         self.order, self.rank = _canonical_order(values)
@@ -667,9 +661,10 @@ def admm_solve(
     )
 
 
-def _weights(sup: np.ndarray, r_min: float) -> np.ndarray:
-    """``reweight``'s weights from the column sup-norms ``sup``."""
-    w = 1.0 / (_REWEIGHT_EPS + sup / r_min)
+def _weights(sup: np.ndarray) -> np.ndarray:
+    """``reweight``'s weights from the column sup-norms ``sup``, in units of
+    the target rate."""
+    w = 1.0 / (_REWEIGHT_EPS + sup)
     return w / w.max()
 
 
@@ -681,12 +676,15 @@ def reweight(R: np.ndarray, r_min: float) -> np.ndarray:
     ``_REWEIGHT_EPS`` is scale-free; larger columns get strictly smaller
     weights. The common scale leaves the argmin unchanged but keeps the
     slack costs commensurate with rho, which conditions the iteration.
-    Raises ValueError unless r_min is finite and positive and R finite.
+    Raises ValueError unless r_min is finite and positive and R finite, then
+    unless R is 2-D.
     """
     if not (r_min > 0 and math.isfinite(r_min)):
         raise ValueError(f"target rate must be finite and positive, got {r_min}")
     (R,) = _finite_vectors(R=R)
-    return _weights(np.abs(R).max(axis=0), r_min)
+    if R.ndim != 2:
+        raise ValueError(f"R must be an M x G array, got shape {R.shape}")
+    return _weights(np.abs(R).max(axis=0) / r_min)
 
 
 def _column_indices(name: str, indices, g: int) -> list:
@@ -713,7 +711,7 @@ def covers(values: np.ndarray, subset, r_min: float) -> bool:
     ValueError unless every entry of ``subset`` is an integer column index
     in [0, G).
     """
-    values = _coverage_rule(values, r_min).values
+    values = _Coverage(values, r_min).values
     sub = values[:, _column_indices("subset", subset, values.shape[1])]
     return _Coverage(sub, r_min).covers(slice(None), sub.sum(axis=1))
 
@@ -731,7 +729,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     any score cut are a prefix of the order and prune walks it in reverse,
     so starting from them ends where the empty start does.
 
-    Raises as ``_coverage_rule`` does, then ValueError unless ``scores`` is
+    Raises as building ``_Coverage`` does, then ValueError unless ``scores`` is
     a finite G-vector and ``selected`` holds integer column indices in
     [0, G). Assumes the full column set covers.
 
@@ -745,7 +743,7 @@ def greedy_cover_from_scores(values: np.ndarray, r_min: float, scores, selected)
     if isinstance(values, _Instance):
         values, rule, rank = values.values, values.rule, values.rank
     else:
-        rule = _coverage_rule(values, r_min)
+        rule = _Coverage(values, r_min)
         values = rule.values
         rank = _canonical_order(values)[1]
     n = values.shape[1]
@@ -785,14 +783,9 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     with no redundant station.
 
     The instance is prepared once (``_Instance``) and every round iterates
-    in its frame (``_iterate``). The result equals, bit for bit, the chain
-    of ``admm_solve`` calls with ``start=state`` and ``reweight`` of each
-    state's R: a later round starts from Z * r_min / r_min and
-    U * r_min / r_min, which is what ``admm_solve`` computes from a state
-    held in rate units, and the weights and scores come from the frame's
-    sup-norms times r_min, which equal the column sup-norms of R in rate
-    units exactly (rounding a product by r_min > 0 is monotone and
-    symmetric in sign).
+    in its frame (``_iterate``): a later round starts from the Z, U and rho
+    of the round before as they are, and the weights and greedy's scores
+    are the column sup-norms of the last R, all in units of the target.
     """
     inst = _Instance(C, r_min)  # the guard, canonical order and Z-step, once
     values = inst.values
@@ -804,16 +797,15 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     all_converged = True
     for k in range(_ROUNDS):
         if k:
-            w = _weights(run.sup * r_min, r_min)
-            Z, U, rho = run.Z * r_min / r_min, run.U * r_min / r_min, run.rho
+            w = _weights(run.sup)
+            Z, U, rho = run.Z, run.U, run.rho
         run = _iterate(inst, w, Z, U, rho, _MAX_ITER, _EPS_ABS, _EPS_REL)
         run.trace[:, 0] += iterations
         traces.append(run.trace)
         iterations += run.iterations
         all_converged = all_converged and run.converged
 
-    scores = (run.sup * r_min)[inst.rank]
-    selected = greedy_cover_from_scores(inst, r_min, scores, ())
+    selected = greedy_cover_from_scores(inst, r_min, run.sup[inst.rank], ())
     rates = values[:, selected].sum(axis=1)
     positions = tuple(C.candidates[g] for g in selected) if isinstance(C, CapacityMatrix) else ()
     return PlacementResult(

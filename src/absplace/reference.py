@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .errors import GuardError, InfeasibleError
-from .placement import _check_rows_coverable, _coverage_rule, greedy_cover_from_scores
+from .placement import _Coverage, greedy_cover_from_scores
 
 __all__ = ["exhaustive_min_abs", "solve_epigraph_lp", "solve_alpha_lp"]
 
@@ -103,12 +103,12 @@ def exhaustive_min_abs(C, r_min: float):
     (``_GUARD``); a wider matrix raises GuardError before coverability is
     checked.
     """
-    rule = _coverage_rule(C, r_min)
+    rule = _Coverage(C, r_min)
     values = rule.values
     g = values.shape[1]
     if g > _GUARD:
         raise GuardError(f"exhaustive search guarded to {_GUARD} columns, got {g}")
-    _check_rows_coverable(rule, r_min)
+    rule.coverable()
     for size in range(1, g + 1):
         for subset in itertools.combinations(range(g), size):
             if rule.covers(subset, values[:, subset].sum(axis=1)):
@@ -126,7 +126,7 @@ def solve_epigraph_lp(C, r_min: float, w=None):
     """
     from scipy import sparse  # deferred, as linprog is in _solve_highs
 
-    values = _check_rows_coverable(C, r_min).values
+    values = _Coverage(C, r_min).coverable().values
     m, g = values.shape
     w = np.ones(g) if w is None else np.asarray(w, dtype=float)
     n_r = m * g  # r variables first (row-major), then the G slacks
@@ -157,7 +157,7 @@ def solve_alpha_lp(C, r_min: float):
     raw rates (capacities of millions of b/s) HiGHS can stop at a
     suboptimal vertex, which the certificate's sign check then rejects.
     """
-    values = _check_rows_coverable(C, r_min).values
+    values = _Coverage(C, r_min).coverable().values
     m, g = values.shape
     a_ub = -np.minimum(values / r_min, 1.0)
     alpha, _ = _solve_highs(np.ones(g), a_ub, -np.ones(m), (0.0, 1.0))

@@ -7,8 +7,8 @@ marching state), the breakpoint solvers find the piecewise-linear roots
 exactly by sorting, and the LP cross-check goes through scipy. The
 stable-sort Z-step and the public-call placement are the exception: they
 repeat the library's arithmetic on the path it replaced (a stable
-breakpoint sort; a fresh set-up in every call), so that the fast path must
-match them bit for bit.
+breakpoint sort; a fresh set-up in every call, on capacities in units of
+the target rate), so that the fast path must match them bit for bit.
 
 The dense sampler counts its samples in runs: the voxel index of sample k
 is monotone in k along each axis, so a block of consecutive samples whose
@@ -327,33 +327,37 @@ def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.nd
 def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
     """Reweighted placement composed from public calls only.
 
-    ``admm_solve`` rounds, each started from the previous round's state
-    and weighted by ``reweight`` of its R, then
-    ``greedy_cover_from_scores`` started from the columns whose sup-norm
-    exceeds ``tau * r_min``. Every call prepares the matrix afresh, and the
-    settings are the placement module's constants as they are at the call.
-    Returns (selected, objective trace, iterations, converged). Greedy ends
-    at the same set from any such start, so the library, which starts it
-    from the empty set, must agree for every ``tau``.
+    ``admm_solve`` rounds on ``values / r_min`` at target 1, each started
+    from the previous round's state and weighted by ``reweight`` of its R,
+    then ``greedy_cover_from_scores`` on ``values`` at ``r_min``, started
+    from the columns whose sup-norm exceeds ``tau`` (in units of the
+    target). The trace's residuals and objective are scaled back to rate
+    units. Every call prepares the matrix afresh, and the settings are the
+    placement module's constants as they are at the call. Returns
+    (selected, objective trace, iterations, converged). Greedy ends at the
+    same set from any such start, so the library, which starts it from the
+    empty set, must agree for every ``tau``.
     """
     from absplace import placement
     from absplace.placement import admm_solve, greedy_cover_from_scores, reweight
 
+    scaled = values / r_min
     w, state = np.ones(values.shape[1]), None
     traces, offset, converged = [], 0, True
     for k in range(placement._ROUNDS):
         if k:
-            w = reweight(state.R, r_min)
+            w = reweight(state.R, 1.0)
         state = admm_solve(
-            values, r_min, w=w, max_iter=placement._MAX_ITER,
+            scaled, 1.0, w=w, max_iter=placement._MAX_ITER,
             eps_abs=placement._EPS_ABS, eps_rel=placement._EPS_REL, start=state,
         )
         trace = state.trace.copy()
         trace[:, 0] += offset
+        trace[:, 1:] *= r_min
         traces.append(trace)
         offset += state.iterations
         converged = converged and state.converged
     scores = np.abs(state.R).max(axis=0)
-    initial = np.flatnonzero(scores > tau * r_min)
+    initial = np.flatnonzero(scores > tau)
     selected = greedy_cover_from_scores(values, r_min, scores, initial)
     return tuple(selected), np.vstack(traces), offset, converged

@@ -247,6 +247,9 @@ class TestConfigHandling:
             (["experiment.seed=-1"], "experiment: seed must be nonnegative, got -1"),
             # repeated solvers, which would be run and summarised once per copy
             (["experiment.solvers=[admm,admm]"], "experiment: solvers must be distinct"),
+            # conversions that raised ZeroDivisionError and OverflowError
+            (["channel.frequency_hz=0"], "channel: frequency_hz must be strictly positive, got 0.0"),
+            (["channel.noise_power_dbm=1e5"], "channel: noise_power_dbm 100000.0 overflows"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):

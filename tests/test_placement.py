@@ -675,8 +675,8 @@ class TestPreparedInstance:
         # 20 users x 288 candidates. At these targets Z * r_min / r_min and
         # U * r_min / r_min differ from Z and U in thousands of entries of
         # the rounds' iterates (at 7.3e7, 1.37e8 and 2.9e8 in none), so a
-        # hand-off between rounds that skipped the round trip through rate
-        # units would show.
+        # hand-off between rounds that went through rate units, rather than
+        # staying in units of the target as the reference does, would show.
         for name, value in settings.items():
             monkeypatch.setattr(placement, name, value)
         for cm in urban_matrices:
@@ -954,6 +954,24 @@ def test_single_steps_reject_non_finite_input(bad):
         x_step_column([bad, 0.0], [0.0, 0.0], 1.0, 1.0)
     with pytest.raises(ValueError, match="u_col must be finite"):
         x_step_column([0.0, 0.0], [bad, 0.0], 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a 2 x 3 r, u and c came back as one 6-entry row
+        (lambda: z_step_row(np.zeros((2, 3)), np.zeros((2, 3)), np.ones((2, 3)), 1.0), "1-D vectors of one length"),
+        # a length-1 u was broadcast over the row
+        (lambda: z_step_row(np.zeros(3), np.zeros(1), np.ones(3), 1.0), "1-D vectors of one length"),
+        (lambda: x_step_column([1.0, 2.0, 3.0], [0.5], 1.0, 1.0), "1-D vectors of one length"),
+        # a 1-D R came back as the scalar weight 1.0
+        (lambda: reweight(np.array([1.0, 2.0]), 1.0), "R must be an M x G array"),
+    ],
+    ids=["z_step_2d", "z_step_short_u", "x_step_short_u", "reweight_1d"],
+)
+def test_single_steps_reject_mismatched_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("field", ["Z", "U"])
