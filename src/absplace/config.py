@@ -16,6 +16,7 @@ applied to the raw document before validation, so flag > file > default.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -175,16 +176,22 @@ def _parse_channel(sec: _Section) -> ChannelParams:
     tx_power = sec.take("tx_power_w", float, 0.1)
     min_rate = sec.take("min_rate_bps", float, 5e6)
     sec.finish()
-    try:
-        if wavelength is None:
-            wavelength = SPEED_OF_LIGHT / frequency
-        if noise is None:
+    # The given keys are checked before conversion, so an error names the key set.
+    if wavelength is None:
+        if not 0.0 < frequency < math.inf:
+            raise ConfigError(f"channel: frequency_hz must be strictly positive, got {frequency}")
+        wavelength = SPEED_OF_LIGHT / frequency
+    if noise is None:
+        try:
             noise = noise_power_from_dbm(noise_dbm)
+        except OverflowError:
+            noise = math.inf
+        if noise == math.inf:
+            raise ConfigError(f"channel: noise_power_dbm {noise_dbm} overflows the noise power in watts")
+        if not noise > 0.0:
+            raise ConfigError(f"channel: noise_power_dbm {noise_dbm} gives a noise power of {noise} W, not positive")
+    try:
         return ChannelParams(wavelength, bandwidth, tx_power, noise, min_rate)
-    except ZeroDivisionError:
-        raise ConfigError(f"channel: frequency_hz must be strictly positive, got {frequency}") from None
-    except OverflowError:
-        raise ConfigError(f"channel: noise_power_dbm {noise_dbm} overflows the noise power in watts") from None
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from None
 

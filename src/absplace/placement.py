@@ -57,9 +57,9 @@ guard, the canonical column order that every solve and greedy's tie-break
 use (one stable argsort of the last row, which a tie there widens to the
 full lexicographic sort), and the capacities in that order scaled so the
 target is 1, with their Z-step. That order and scale are the instance's
-frame. Every ADMM round iterates in it (``_iterate``) and hands Z, U and
-rho to the next round without leaving it; greedy rounds from the same
-instance. ``admm_solve`` maps a single solve into a frame and back.
+frame. Every ADMM round iterates in it (``_iterate``), ends in an
+``AdmmState`` there and hands its Z, U and rho to the next round; greedy
+rounds from the same instance. ``admm_solve`` maps one solve in and out.
 
 The solver settings are module constants, ``_RHO`` to ``_REWEIGHT_EPS``:
 rates are scaled to the target and residual balancing adapts rho, so one
@@ -74,7 +74,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,10 +122,12 @@ _REWEIGHT_EPS = 1e-3
 class AdmmState:
     """Final solver state plus its residual history.
 
-    R, Z, U are M x G in original rate units; trace columns are
-    (iteration, primal residual, dual residual, objective).
-    row_sum_max_dev is the worst row-sum violation of Z seen at any
-    iteration, in rate units. rho is the final step, after residual
+    R, Z, U are M x G and row_sum_max_dev is the worst row-sum violation
+    of Z seen at any iteration. As ``admm_solve`` returns them they are in
+    rate units and input column order; as ``_iterate`` returns them they
+    are in the instance's frame (target 1, canonical order). The trace is
+    in rate units either way, its columns (iteration, primal residual,
+    dual residual, objective). rho is the final step, after residual
     balancing, and the scaled dual U is at that step, so the state
     warm-starts a further solve as ``admm_solve(..., start=state)``. The
     state does not keep the weights: they are the caller's ``w``.
@@ -499,36 +501,17 @@ class _Instance:
         return np.minimum(self.cn, 1.0 / g), np.zeros((m, g))
 
 
-@dataclass(frozen=True)
-class _Run:
-    """One solve in an instance's frame (``_iterate``).
-
-    R, Z, U are the final iterate in canonical column order with the target
-    at 1, and rho the final step. ``sup`` holds the column sup-norms of R,
-    which the objective computed. ``trace`` is in rate units, its
-    iterations numbered from 1; ``row_dev`` is the worst row-sum violation
-    of Z, with the target at 1.
-    """
-
-    R: np.ndarray
-    Z: np.ndarray
-    U: np.ndarray
-    rho: float
-    sup: np.ndarray
-    trace: np.ndarray
-    iterations: int
-    row_dev: float
-    converged: bool
-
-
 def _iterate(
     inst: _Instance, w, Z, U, rho: float, max_iter: int, eps_abs: float, eps_rel: float
-) -> _Run:
+) -> tuple[AdmmState, np.ndarray]:
     """The ADMM iterations of ``admm_solve`` in the frame of ``inst``, from
     Z, U and step rho, with the weights w in canonical column order.
 
-    Takes its inputs as checked. Stopping at ``max_iter`` logs the one
-    warning on the ``absplace`` logger.
+    Returns (state, sup): the final ``AdmmState`` in the frame, its trace
+    in rate units with iterations numbered from 1, and the column sup-norms
+    of its R, which the last objective computed. Takes its inputs as
+    checked. Stopping at ``max_iter`` logs the one warning on the
+    ``absplace`` logger.
     """
     m, g = inst.cn.shape
     x_step = _XStep(w, m, rho)
@@ -578,7 +561,7 @@ def _iterate(
 
     trace_arr = np.array(trace)
     trace_arr[:, 1:] *= r_min  # residuals and objective back to rate units
-    return _Run(R, Z, U, rho, sup, trace_arr, iterations, row_dev, converged)
+    return AdmmState(R, Z, U, rho, iterations, converged, trace_arr, row_dev), sup
 
 
 def admm_solve(
@@ -648,16 +631,13 @@ def admm_solve(
         if not (Z.shape == U.shape == (m, g) and np.isfinite(Z).all() and np.isfinite(U).all()):
             raise ValueError("start.Z and start.U must be finite M x G arrays")
         Z, U = Z.take(order, axis=1) / r_min, U.take(order, axis=1) / r_min
-    run = _iterate(inst, w[order], Z, U, rho, max_iter, eps_abs, eps_rel)
-    return AdmmState(
+    run, _ = _iterate(inst, w[order], Z, U, rho, max_iter, eps_abs, eps_rel)
+    return replace(
+        run,
         R=run.R[:, invert] * r_min,
         Z=run.Z[:, invert] * r_min,
         U=run.U[:, invert] * r_min,
-        rho=run.rho,
-        iterations=run.iterations,
-        converged=run.converged,
-        trace=run.trace,
-        row_sum_max_dev=run.row_dev * r_min,
+        row_sum_max_dev=run.row_sum_max_dev * r_min,
     )
 
 
@@ -797,15 +777,15 @@ def solve_placement(C: CapacityMatrix, r_min: float) -> PlacementResult:
     all_converged = True
     for k in range(_ROUNDS):
         if k:
-            w = _weights(run.sup)
+            w = _weights(sup)
             Z, U, rho = run.Z, run.U, run.rho
-        run = _iterate(inst, w, Z, U, rho, _MAX_ITER, _EPS_ABS, _EPS_REL)
+        run, sup = _iterate(inst, w, Z, U, rho, _MAX_ITER, _EPS_ABS, _EPS_REL)
         run.trace[:, 0] += iterations
         traces.append(run.trace)
         iterations += run.iterations
         all_converged = all_converged and run.converged
 
-    selected = greedy_cover_from_scores(inst, r_min, run.sup[inst.rank], ())
+    selected = greedy_cover_from_scores(inst, r_min, sup[inst.rank], ())
     rates = values[:, selected].sum(axis=1)
     positions = tuple(C.candidates[g] for g in selected) if isinstance(C, CapacityMatrix) else ()
     return PlacementResult(

@@ -86,7 +86,8 @@ class Measurement:
     """One link observation: endpoints plus the observed shadowing in dB.
 
     ``shadow_db`` is the gain deficit relative to free space, i.e. free-space
-    path gain at the link distance minus the measured gain.
+    path gain at the link distance minus the measured gain. ValueError
+    unless it is finite and the endpoints differ.
     """
 
     tx: Point3
@@ -95,6 +96,8 @@ class Measurement:
 
     def __post_init__(self):
         object.__setattr__(self, "shadow_db", float(self.shadow_db))
+        if not math.isfinite(self.shadow_db):
+            raise ValueError(f"shadow_db must be finite, got {self.shadow_db}")
         if self.tx == self.rx:
             raise ValueError("measurement endpoints must differ")
 
@@ -370,10 +373,9 @@ def shadowing_line_integral(slf: SlfField, seg: Segment3) -> float:
     Exact for the piecewise-constant field: for a constant field l0 and a
     segment of length d the result is l0 * sqrt(d) regardless of grid
     spacing. Continuous in both endpoints. A zero-length segment returns 0
-    by convention. Runs ``line_integrals`` on a batch of one.
+    by convention. Runs ``line_integrals`` on a batch of one, so it raises
+    DomainError as that does, for zero-length segments too.
     """
-    if seg.is_degenerate():
-        return 0.0
     return float(line_integrals(slf, seg.a.as_tuple(), seg.b.as_tuple())[0])
 
 
@@ -530,13 +532,22 @@ def write_measurements_csv(measurements, path) -> None:
 
 
 def read_measurements_csv(path) -> list[Measurement]:
+    """The measurements of a ``write_measurements_csv`` file: the header, then
+    one row of exactly seven numbers a link. ValueError naming the path and
+    the line for an empty file, another header, and any row that is not
+    seven numbers or not a valid ``Measurement``."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, "nothing (empty file)")
         if header != _MEASUREMENT_HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
+            raise ValueError(f"{path}, line 1: expected header {_MEASUREMENT_HEADER}, got {header}")
         for row in reader:
-            vals = [float(v) for v in row]
-            out.append(Measurement(Point3(*vals[:3]), Point3(*vals[3:6]), vals[6]))
+            try:
+                if len(row) != len(_MEASUREMENT_HEADER):
+                    raise ValueError(f"expected {len(_MEASUREMENT_HEADER)} numeric fields, got {len(row)}")
+                vals = [float(v) for v in row]
+                out.append(Measurement(Point3(*vals[:3]), Point3(*vals[3:6]), vals[6]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return out

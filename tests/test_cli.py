@@ -250,6 +250,14 @@ class TestConfigHandling:
             # conversions that raised ZeroDivisionError and OverflowError
             (["channel.frequency_hz=0"], "channel: frequency_hz must be strictly positive, got 0.0"),
             (["channel.noise_power_dbm=1e5"], "channel: noise_power_dbm 100000.0 overflows"),
+            # conversions whose result the wavelength and noise_power checks blamed
+            (["channel.frequency_hz=-1"], "channel: frequency_hz must be strictly positive, got -1.0"),
+            (["channel.frequency_hz=.nan"], "channel: frequency_hz must be strictly positive, got nan"),
+            (["channel.frequency_hz=.inf"], "channel: frequency_hz must be strictly positive, got inf"),
+            (["channel.noise_power_dbm=.nan"], "channel: noise_power_dbm nan gives a noise power of nan W"),
+            (["channel.noise_power_dbm=-1e5"], "channel: noise_power_dbm -100000.0 gives a noise power of 0.0 W"),
+            (["channel.noise_power_dbm=.inf"], "channel: noise_power_dbm inf overflows"),
+            (["channel.noise_power_dbm=-.inf"], "channel: noise_power_dbm -inf gives a noise power of 0.0 W"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,8 @@ class TestLineIntegral:
         field = SlfField.constant(unit_grid(), 1.0)
         with pytest.raises(DomainError):
             shadowing_line_integral(field, Segment3(Point3(-2, 0, 0), Point3(1, 1, 1)))
+        with pytest.raises(DomainError):
+            shadowing_line_integral(field, Segment3(Point3(-2, 0, 0), Point3(-2, 0, 0)))
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(11)
@@ -663,6 +666,24 @@ class TestSerialization:
         write_measurements_csv(meas, path)
         back = read_measurements_csv(path)
         assert back == meas
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("tx_x,tx_y,tx_z,rx_x,rx_y,rx_z,shadow_db\n0,1,2,3,4,5\n", 2),
+            ("tx_x,tx_y,tx_z,rx_x,rx_y,rx_z,shadow_db\n0,1,2,3,4,5,1.5\n\n", 3),
+            ("tx_x,tx_y,tx_z,rx_x,rx_y,rx_z,shadow_db\n0,1,2,3,4,5,1.5,9\n", 2),
+            ("tx_x,tx_y,tx_z,rx_x,rx_y,rx_z,shadow_db\n0,1,2,3,4,5,1.5\n0,1,2,3,4,5,db\n", 3),
+            ("tx_x,tx_y,tx_z,rx_x,rx_y,rx_z,shadow_db\n0,1,2,3,4,5,nan\n", 2),
+        ],
+        ids=["empty", "six_fields", "blank_line", "eight_fields", "not_a_number", "nan_shadow"],
+    )
+    def test_measurements_csv_rejects_malformed(self, tmp_path, text, line):
+        path = tmp_path / "meas.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
+            read_measurements_csv(path)
 
     def test_slf_text_rejects_truncated(self, tmp_path):
         path = tmp_path / "bad.txt"
