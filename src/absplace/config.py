@@ -181,6 +181,8 @@ def _parse_channel(sec: _Section) -> ChannelParams:
         if not 0.0 < frequency < math.inf:
             raise ConfigError(f"channel: frequency_hz must be strictly positive, got {frequency}")
         wavelength = SPEED_OF_LIGHT / frequency
+        if not math.isfinite(wavelength):
+            raise ConfigError(f"channel: frequency_hz {frequency} overflows the wavelength")
     if noise is None:
         try:
             noise = noise_power_from_dbm(noise_dbm)

@@ -16,11 +16,12 @@ grids, and costs O(Qx + Qy + Qz) per segment instead of O(Q).
 ``line_integrals`` evaluates many links at once. It sets up every link of
 the batch once (start voxel, direction, and the exit threshold: the
 parameter where the link leaves the grid or reaches its end). Then, for a
-bounded chunk of links at a time, it lays each link's face crossings out
-as one column of a slots-by-links array, computed per axis in closed form,
-merges them with one stable sort down the slots and weights the intervals
-before the threshold by the field. The capacity matrix, the estimator's
-design matrix and ``shadowing_line_integral`` all run on it.
+bounded chunk of links at a time, it computes each link's face crossings
+per axis in closed form, packs each into one integer key (the bits of its
+parameter over its axis id), sorts every link's row of keys by value and
+weights the intervals before the threshold by the field. The capacity
+matrix, the estimator's design matrix and ``shadowing_line_integral`` all
+run on it.
 ``traverse_voxels`` marches one segment face by face; it is the scalar
 reference the batched kernel reproduces interval for interval.
 
@@ -200,6 +201,10 @@ def traverse_voxels(grid: RegularGrid3, seg: Segment3) -> TraversalResult:
 
 _CHUNK_LINKS = 256  # links per pass of the batched kernel; bounds its temporaries
 
+# The sort key of a crossing that takes no step: t = 1.0 over axis id 3, the
+# largest key a parameter in [0, 1] can have.
+_NO_STEP = np.float64(1.0).view(np.uint64) << 2 | 3
+
 
 def _check_inside(grid: RegularGrid3, points: np.ndarray) -> None:
     """DomainError unless every row of ``points`` lies in the voxel domain."""
@@ -246,15 +251,15 @@ def _link_setup(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
 
 
 def _slot_intervals(grid: RegularGrid3, base, step, inc, half, x1, den, count, thr):
-    """``(keep, lengths, flat)`` of ``_chunk_intervals`` as (K, n)
-    slot-major arrays, column i for link i, from the columns of
-    ``_link_setup``."""
+    """``(keep, lengths, flat)`` of ``_chunk_intervals``, (n, K) link-major
+    arrays with row i for link i, from the columns of ``_link_setup``: the
+    crossings' packed keys, one value sort per row, then unpacked."""
     n = len(base)
     width = count.max(axis=1, initial=0)
     times = np.empty((width.sum() + 1, n))
-    steps = np.empty(times.shape, dtype=np.int32)
-    times[-1] = np.inf  # the slot of the last interval
-    steps[-1] = 0
+    axis = np.empty((len(times), 1), dtype=np.uint64)
+    times[-1] = 1.0  # the slot of the last interval
+    axis[-1] = 3
     k = np.arange(width.max(), dtype=float)[:, None]
     row = 0
     for j, sp in enumerate(grid.spacing):
@@ -264,37 +269,44 @@ def _slot_intervals(grid: RegularGrid3, base, step, inc, half, x1, den, count, t
         block *= sp
         block -= x1[j]
         block /= den[j]
-        steps[row : row + width[j]] = step[j]
+        axis[row : row + width[j]] = j
         row += width[j]
-    index = np.argsort(times, axis=0, kind="stable")
-    index *= n
-    index += np.arange(n)
-    raw = times.ravel()[index]
-    # The crossings before thr lead each column; their count is the link's
-    # stop. t[m] ends interval m: interval `stop` ends at 1, later ones
-    # are empty.
-    inside = raw < thr
-    t = np.where(inside, np.maximum(raw, 0.0), 1.0)
-    lengths = np.empty_like(t)
-    lengths[0] = t[0]
-    np.subtract(t[1:], t[:-1], out=lengths[1:])
+    # One key per crossing: the bits of t clipped to [0, 1], shifted up two,
+    # over its axis id. A crossing at or past thr becomes _NO_STEP, above
+    # every crossing before it.
+    np.clip(times, 0.0, 1.0, out=times)
+    keys = times.view(np.uint64)
+    keys <<= 2
+    keys |= axis
+    keys = np.where(keys < thr.view(np.uint64) << 2, keys, _NO_STEP).T.copy()
+    keys.sort(axis=1)
     # Interval m lies in the start voxel moved by the steps of crossings
-    # 0 .. m - 1; steps from `stop` on are zeroed, so every row is a voxel.
-    flat = np.empty(t.shape, dtype=np.int32)
-    flat[0] = base
-    flat[1:] = steps.ravel()[index[:-1]]
-    flat[1:] *= inside[:-1]
-    np.cumsum(flat, axis=0, out=flat)
+    # 0 .. m - 1, looked up by axis id in the link's row of `table`; the
+    # last slot of a row takes no step, so one flat take fills every row.
+    table = np.zeros((n, 4), dtype=np.int32)
+    table[:, :3] = step.T
+    pick = keys & 3
+    pick |= (np.arange(n, dtype=np.uint64) << 2)[:, None]
+    flat = np.empty(keys.shape, dtype=np.int32)
+    np.take(table, pick.ravel()[:-1].view(np.int64), out=flat.ravel()[1:])
+    flat[:, 0] = base
+    np.cumsum(flat, axis=1, out=flat)
+    # t[m] ends interval m: the crossings before thr, then 1.0.
+    keys >>= 2
+    t = keys.view(np.float64)
+    lengths = np.empty_like(t)
+    np.subtract(t.ravel()[1:], t.ravel()[:-1], out=lengths.ravel()[1:])
+    lengths[:, 0] = t[:, 0]
     return lengths > 0.0, lengths, flat
 
 
 def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     """Voxel intervals of the links a[i] -> b[i], all in one chunk.
 
-    Returns ``(keep, lengths, flat)``, three (n, K) arrays: row i lists link
-    i's intervals in traversal order; ``keep`` marks the real ones, with
-    parameter length ``lengths`` in the voxel of flat index ``flat``. They
-    are transposed views of the kernel's (K, n) slot-major arrays.
+    Returns ``(keep, lengths, flat)``, three (n, K) link-major arrays: row i
+    lists link i's intervals in traversal order; ``keep`` marks the real
+    ones, with parameter length ``lengths`` in the voxel of flat index
+    ``flat``.
 
     Reproduces ``traverse_voxels`` step for step. The start voxel follows
     ``containing_voxel``. Axis j's crossing k, with i_k = start[j] + k * inc[j]
@@ -305,8 +317,19 @@ def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     earliest exit) is where marching stops. Each axis fills a block of
     slots as wide as the most crossings a link of the chunk needs; the
     slots beyond a link's own count hold crossings past its exit or past
-    t = 1, never before thr. One stable sort down the slots merges the
-    blocks and repeats the marcher's choice of the lowest axis on ties.
+    t = 1, never before thr.
+
+    Each crossing is packed into one uint64 key, (bits of t) << 2 | axis:
+    a crossing before thr packs t clipped to at least 0, and a crossing at
+    or past thr, like the extra last slot, packs t = 1.0 with axis 3, "no
+    step". One value sort of each link's row of keys merges the three
+    axes' runs, and the unpacked t = (key >> 2) is exact, for three
+    reasons. Nonnegative doubles order like their bit patterns. Every value
+    up to 1.0 has its bits below 2**62, so the shift drops none of them
+    (and it clears the sign bit of a -0.0). Crossings of two axes at one t
+    sort by axis id, the marcher's choice, but any order would do: it only
+    picks the voxel of the zero-length interval between them, which is
+    never kept.
 
     A link's ``stop`` is the number of its crossings before thr: interval m
     < stop ends at crossing m clipped to at least 0, interval ``stop`` ends
@@ -316,19 +339,19 @@ def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     thr, so the interval before it is the one that ends at 1, as the
     marcher stretches it. With stride the flat-index step of each axis,
     interval m lies in voxel start @ stride plus the steps inc[j] *
-    stride[j] of the crossings before it: one cumulative sum down the
-    slots, with the steps from ``stop`` on set to 0 so that every slot
-    holds a voxel of the grid. A link that leaves the grid at or behind
-    its start raises RuntimeError, as the marcher finds no interval there.
+    stride[j] of the crossings before it: one cumulative sum along the row
+    of the steps looked up by each key's axis id, in which axis 3 steps
+    by 0, so that every slot holds a voxel of the grid. A link that leaves
+    the grid at or behind its start raises RuntimeError, as the marcher
+    finds no interval there.
     """
-    keep, lengths, flat = _slot_intervals(grid, *_link_setup(grid, a, b))
-    return keep.T, lengths.T, flat.T
+    return _slot_intervals(grid, *_link_setup(grid, a, b))
 
 
 def _link_chunks(grid: RegularGrid3, starts, ends):
     """Yield ``(keep, coeff, flat)`` for each run of at most _CHUNK_LINKS
-    consecutive links, in order, as the (K, n) slot-major arrays of
-    ``_chunk_intervals`` (column i for the run's link i): ``coeff`` is
+    consecutive links, in order, as the (n, K) link-major arrays of
+    ``_chunk_intervals`` (row i for the run's link i): ``coeff`` is
     sqrt(|b - a|) times the interval length, the link's weight on voxel
     ``flat``. Every link is set up once for the whole batch, exit
     threshold included; only the crossings are computed chunk by chunk.
@@ -346,7 +369,7 @@ def _link_chunks(grid: RegularGrid3, starts, ends):
     for first in range(0, len(starts), _CHUNK_LINKS):
         part = slice(first, first + _CHUNK_LINKS)
         keep, lengths, flat = _slot_intervals(grid, *(s[..., part] for s in setup))
-        yield keep, root[part] * lengths, flat
+        yield keep, root[part, None] * lengths, flat
 
 
 def line_integrals(slf: SlfField, starts, ends) -> np.ndarray:
@@ -354,16 +377,20 @@ def line_integrals(slf: SlfField, starts, ends) -> np.ndarray:
 
     The batched form of ``shadowing_line_integral``: the intervals of
     ``traverse_voxels``, computed per axis in closed form for a chunk of
-    links at a time. A zero-length link gives 0. Raises DomainError if any
-    endpoint lies outside the field's voxel domain.
+    links at a time. Each link's intervals are bit for bit those of the
+    link alone, but its sum can differ from its batch-of-one value in the
+    last bit (see below). A zero-length link gives 0. Raises DomainError if
+    any endpoint lies outside the field's voxel domain.
     """
     values = slf.values.ravel()
     chunks = _link_chunks(slf.grid, starts, ends)
-    # Each link's terms are summed as one contiguous row, so the pairwise
-    # summation order, and the result, do not depend on the kernel's layout.
+    # Each link's terms are summed as one row, as long as its chunk has
+    # slots. numpy's pairwise sum groups the terms by that length, so a
+    # link's value depends on the other links of its chunk, by about 1e-16
+    # relative.
     return np.concatenate(
         [np.zeros(0)]
-        + [np.ascontiguousarray((coeff * values[flat]).T).sum(axis=1) for _, coeff, flat in chunks]
+        + [(coeff * values[flat]).sum(axis=1) for _, coeff, flat in chunks]
     )
 
 
@@ -374,7 +401,8 @@ def shadowing_line_integral(slf: SlfField, seg: Segment3) -> float:
     segment of length d the result is l0 * sqrt(d) regardless of grid
     spacing. Continuous in both endpoints. A zero-length segment returns 0
     by convention. Runs ``line_integrals`` on a batch of one, so it raises
-    DomainError as that does, for zero-length segments too.
+    DomainError as that does, for zero-length segments too, and the same
+    link inside a larger batch can differ from it in the last bit.
     """
     return float(line_integrals(slf, seg.a.as_tuple(), seg.b.as_tuple())[0])
 
@@ -428,9 +456,9 @@ def _design_matrix(measurements, grid: RegularGrid3):
     starts, ends = links[:, :3], links[:, 3:]
     counts, cols, data = [], [], []
     for keep, coeff, flat in _link_chunks(grid, starts, ends):
-        counts.append(keep.sum(axis=0))
-        cols.append(flat.T[keep.T])
-        data.append(coeff.T[keep.T])
+        counts.append(keep.sum(axis=1))
+        cols.append(flat[keep])
+        data.append(coeff[keep])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     mat = sparse.csr_matrix(
         (np.concatenate(data), np.concatenate(cols), indptr),

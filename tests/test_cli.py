@@ -258,6 +258,8 @@ class TestConfigHandling:
             (["channel.noise_power_dbm=-1e5"], "channel: noise_power_dbm -100000.0 gives a noise power of 0.0 W"),
             (["channel.noise_power_dbm=.inf"], "channel: noise_power_dbm inf overflows"),
             (["channel.noise_power_dbm=-.inf"], "channel: noise_power_dbm -inf gives a noise power of 0.0 W"),
+            # a conversion that overflowed, which the wavelength check blamed
+            (["channel.frequency_hz=1e-300"], "channel: frequency_hz 1e-300 overflows the wavelength"),
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, overrides, message):

@@ -279,15 +279,19 @@ class TestBatchedKernel:
 
     def test_links_do_not_depend_on_their_batch(self):
         # each link's intervals in a mixed batch of five chunks, bit for bit
-        # those of the link run alone
+        # those of the link run alone; its shadowing to the last bits only,
+        # since the pairwise sum of a row groups by the row's length, which
+        # is the slot count of the link's chunk
         rng = np.random.default_rng(68)
         for grid in self.grids():
             a, b = edge_case_links(rng, grid)
+            field = SlfField(grid, np.random.default_rng(69).uniform(0.5, 3.5, grid.dims))
+            shadow = line_integrals(field, a, b)
             keep, lengths, flat = tomography._chunk_intervals(grid, a, b)
             batch = [
-                (k[:, i], c[:, i], f[:, i])
+                (k[i], c[i], f[i])
                 for k, c, f in tomography._link_chunks(grid, a, b)
-                for i in range(k.shape[1])
+                for i in range(len(k))
             ]
             assert len(batch) == len(a)
             for i, (chunk_keep, chunk_coeff, chunk_flat) in enumerate(batch):
@@ -297,6 +301,8 @@ class TestBatchedKernel:
                 ((k2, c2, f2),) = tomography._link_chunks(grid, a[i : i + 1], b[i : i + 1])
                 np.testing.assert_array_equal(chunk_coeff[chunk_keep], c2[k2])
                 np.testing.assert_array_equal(chunk_flat[chunk_keep], f2[k2])
+                alone = line_integrals(field, a[i : i + 1], b[i : i + 1])
+                np.testing.assert_allclose(shadow[i], alone[0], rtol=1e-15, atol=0)
 
     def test_crossing_behind_start_clips_to_zero(self):
         # a sits on a voxel corner; one of its faces rounds to a parameter
