@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Point3
-from .tomography import SlfField, line_integrals
+from .tomography import SlfField, line_integral_matrix
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -142,24 +142,22 @@ def capacity_bps(params: ChannelParams, gain: float) -> float:
 def build_capacity_matrix(params: ChannelParams, users, candidates, slf: SlfField) -> CapacityMatrix:
     """Capacity of every user-candidate link, shadowed by the loss field.
 
-    All M x G links go through ``line_integrals`` in one batch; distance,
-    gain and rate are computed as arrays, by the formulas of ``gain_db``
-    and ``capacity_bps``. Every user and candidate must lie inside the
-    field's voxel domain, and no user may coincide with a candidate; both
-    raise DomainError.
+    All M x G links go through ``line_integral_matrix`` in one batch;
+    distance, gain and rate are computed as arrays, by the formulas of
+    ``gain_db`` and ``capacity_bps``. Every user and candidate must lie
+    inside the field's voxel domain, and no user may coincide with a
+    candidate; both raise DomainError.
     """
     users = tuple(users)
     candidates = tuple(candidates)
     u = np.array([p.as_tuple() for p in users], dtype=float).reshape(-1, 3)
     c = np.array([p.as_tuple() for p in candidates], dtype=float).reshape(-1, 3)
-    starts = np.repeat(u, len(c), axis=0)
-    ends = np.tile(c, (len(u), 1))
-    distance = np.linalg.norm(ends - starts, axis=1)
+    distance = np.linalg.norm(c[None] - u[:, None], axis=2)
     if np.any(distance == 0.0):
         raise DomainError("gain undefined for coincident endpoints")
-    shadow = line_integrals(slf, starts, ends)
+    shadow = line_integral_matrix(slf, u, c)
     rate = _shannon_bps(params, _free_space_db(params, distance) - shadow)
-    return CapacityMatrix(rate.reshape(len(u), len(c)), users, candidates)
+    return CapacityMatrix(rate, users, candidates)
 
 
 def write_capacity_csv(cm: CapacityMatrix, path) -> None:

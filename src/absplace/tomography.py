@@ -13,15 +13,22 @@ conventional ellipsoid weighted sum (also provided, for comparison), this
 approximation is continuous in the endpoints, stays meaningful on coarse
 grids, and costs O(Qx + Qy + Qz) per segment instead of O(Q).
 
-``line_integrals`` evaluates many links at once. It sets up every link of
-the batch once (start voxel, direction, and the exit threshold: the
-parameter where the link leaves the grid or reaches its end). Then, for a
-bounded chunk of links at a time, it computes each link's face crossings
-per axis in closed form, packs each into one integer key (the bits of its
-parameter over its axis id), sorts every link's row of keys by value and
-weights the intervals before the threshold by the field. The capacity
-matrix, the estimator's design matrix and ``shadowing_line_integral`` all
-run on it.
+``line_integrals`` evaluates many links at once. A link's crossings along
+axis j depend only on its endpoints' j-th coordinates (the parametric
+planes of Siddon 1985), so the batched kernel has two parts. Crossing
+tables: for each axis and coordinate pair, the face crossings in closed
+form, clipped to [0, 1] and packed into integer keys (the bits of the
+parameter over the axis id), with the pair's start index, direction and
+exit parameter. One merge, for a bounded chunk of links at a time: each
+link gathers its three runs of keys, cuts them at its exit threshold (the
+parameter where it leaves the grid or reaches its end), sorts its row by
+value and weights the intervals by the field. Each link's terms are summed
+left to right in slot order, so its value does not depend on the batch or
+chunk it is in. ``line_integrals`` (the estimator's design matrix,
+``shadowing_line_integral``) makes every link its own pair;
+``line_integral_matrix`` (the capacity matrix) pairs every start with each
+distinct end coordinate, which on a flight grid leaves a few hundred pairs
+an axis for thousands of links.
 ``traverse_voxels`` marches one segment face by face; it is the scalar
 reference the batched kernel reproduces interval for interval.
 
@@ -47,6 +54,7 @@ __all__ = [
     "TraversalResult",
     "traverse_voxels",
     "line_integrals",
+    "line_integral_matrix",
     "shadowing_line_integral",
     "shadowing_ellipsoid_sum",
     "estimate_slf",
@@ -199,33 +207,38 @@ def traverse_voxels(grid: RegularGrid3, seg: Segment3) -> TraversalResult:
     return TraversalResult(np.array(ts), np.array(voxels, dtype=int))
 
 
-_CHUNK_LINKS = 256  # links per pass of the batched kernel; bounds its temporaries
+_CHUNK_LINKS = 256  # links per merge of the batched kernel; bounds its temporaries
 
-# The sort key of a crossing that takes no step: t = 1.0 over axis id 3, the
-# largest key a parameter in [0, 1] can have.
-_NO_STEP = np.float64(1.0).view(np.uint64) << 2 | 3
+# A key at or above _AT_END packs t = 1.0, which no link's threshold
+# exceeds. _NO_STEP, t = 1.0 over axis id 3, is the key of a crossing that
+# takes no step, and the largest key a parameter in [0, 1] can have.
+_AT_END = np.float64(1.0).view(np.uint64) << 2
+_NO_STEP = _AT_END | 3
 
 
 def _check_inside(grid: RegularGrid3, points: np.ndarray) -> None:
     """DomainError unless every row of ``points`` lies in the voxel domain."""
     lo, hi = grid.domain_bounds()
+    if (points >= lo).all() and (points <= hi).all():
+        return
     outside = ~np.all((points >= lo) & (points <= hi), axis=1)
     if outside.any():
         p = tuple(float(c) for c in points[np.argmax(outside)])
         raise DomainError(f"point {p} outside grid domain [{lo}, {hi}]")
 
 
-def _link_setup(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
-    """Per-link constants of the kernel for links a[i] -> b[i], column i
-    of each array: the start voxel's flat index ``base``, and per axis its
-    flat-index ``step``, direction ``inc``, start index plus ``inc / 2``
-    (``half``), ``x1``, ``den`` and crossing ``count``; then the exit
-    threshold ``thr``. See ``_chunk_intervals``."""
+def _pair_setup(grid: RegularGrid3, p: np.ndarray, q: np.ndarray):
+    """Per-pair constants of the coordinate pairs p[j, i] -> q[j, i] along
+    axis j, as (3, P) arrays: ``(count, exit, base, step, inc, half, x1,
+    den)``. ``count`` is the number of crossings a table holds, ``exit``
+    the parameter where the pair's index leaves the grid, ``base`` and
+    ``step`` the flat-index offsets of its start index and of one crossing;
+    the last four place the crossings. See ``_chunk_intervals``."""
     origin = np.array(grid.origin.as_tuple())[:, None]
     sp = np.array(grid.spacing)[:, None]
     dims = np.array(grid.dims, dtype=float)[:, None]
-    x1 = np.ascontiguousarray(a.T) - origin
-    delta = (np.ascontiguousarray(b.T) - origin) - x1
+    x1 = p - origin
+    delta = (q - origin) - x1
     # containing_voxel rounds half away from zero; rounding half up agrees
     # with it once clipped, since every negative index clips to 0.
     start = np.clip(np.floor(x1 / sp + 0.5), 0.0, dims - 1)
@@ -233,71 +246,103 @@ def _link_setup(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     still = inc == 0.0
     den = delta + still
     last = (inc > 0.0) * (dims - 1)  # the last voxel in the direction of travel
-    # The crossing after |last - start| others leaves the grid, and crossing
+    # Crossing |last - start| is the pair's exit, and crossing
     # floor(|delta| / sp) + 2 lies past t = 1 with a margin far above
-    # rounding, so no link needs a later one.
-    count = np.minimum(np.abs(last - start) + 1, np.floor(np.abs(delta) / sp) + 3)
-    count = (count * ~still).astype(np.int32)
-    x1[still] = -np.inf  # every crossing of an axis the link does not move on is +inf
-    exits = (sp * (last + 0.5 * inc) - x1) / den
-    thr = np.minimum(exits.min(axis=0), 1.0)
-    if (thr <= 0.0).any():
-        # The link leaves the grid at or behind its start: a sliver along
-        # an outer face, in which the marcher finds no interval either.
-        raise RuntimeError("voxel traversal produced no intervals")
+    # rounding; neither lies before a link's threshold, so no table needs it.
+    count = np.minimum(np.abs(last - start), np.floor(np.abs(delta) / sp) + 2)
+    count = (count * ~still).astype(np.intp)
+    x1[still] = -np.inf  # every crossing of an axis the pair does not move on is +inf
+    exit = (sp * (last + 0.5 * inc) - x1) / den
     stride = np.array([dims[1] * dims[2], dims[2], [1.0]])
-    base = (start * stride).sum(axis=0).astype(np.int32)
-    return base, (inc * stride).astype(np.int32), inc, start + 0.5 * inc, x1, den, count, thr
+    base = (start * stride).astype(np.intp)
+    step = (inc * stride).astype(np.intp)
+    return count, exit, base, step, inc, start + 0.5 * inc, x1, den
 
 
-def _slot_intervals(grid: RegularGrid3, base, step, inc, half, x1, den, count, thr):
-    """``(keep, lengths, flat)`` of ``_chunk_intervals``, (n, K) link-major
-    arrays with row i for link i, from the columns of ``_link_setup``: the
-    crossings' packed keys, one value sort per row, then unpacked."""
-    n = len(base)
-    width = count.max(axis=1, initial=0)
-    times = np.empty((width.sum() + 1, n))
-    axis = np.empty((len(times), 1), dtype=np.uint64)
-    times[-1] = 1.0  # the slot of the last interval
-    axis[-1] = 3
-    k = np.arange(width.max(), dtype=float)[:, None]
-    row = 0
+def _crossing_table(grid: RegularGrid3, count, inc, half, x1, den):
+    """The crossing tables of the three axes, stacked in one (K, P) array
+    of keys, and the first row of each. Rows rows[j] .. rows[j + 1] - 1
+    hold crossings 0, 1, ... of the pairs along axis j (column i for pair
+    i), as many as the largest count among them; the last row holds
+    _NO_STEP. Keys at t = 1 are _NO_STEP too."""
+    widths = count.max(axis=1, initial=0)
+    rows = np.concatenate([[0], np.cumsum(widths)])
+    times = np.empty((rows[-1] + 1, count.shape[1]))
+    times[-1] = 1.0
+    k = np.arange(widths.max(), dtype=float)[:, None]
     for j, sp in enumerate(grid.spacing):
-        block = times[row : row + width[j]]
-        np.multiply(k[: width[j]], inc[j], out=block)
+        block = times[rows[j] : rows[j + 1]]
+        np.multiply(k[: widths[j]], inc[j], out=block)
         block += half[j]
         block *= sp
         block -= x1[j]
         block /= den[j]
-        axis[row : row + width[j]] = j
-        row += width[j]
-    # One key per crossing: the bits of t clipped to [0, 1], shifted up two,
-    # over its axis id. A crossing at or past thr becomes _NO_STEP, above
-    # every crossing before it.
     np.clip(times, 0.0, 1.0, out=times)
     keys = times.view(np.uint64)
     keys <<= 2
-    keys |= axis
-    keys = np.where(keys < thr.view(np.uint64) << 2, keys, _NO_STEP).T.copy()
-    keys.sort(axis=1)
-    # Interval m lies in the start voxel moved by the steps of crossings
-    # 0 .. m - 1, looked up by axis id in the link's row of `table`; the
-    # last slot of a row takes no step, so one flat take fills every row.
-    table = np.zeros((n, 4), dtype=np.int32)
-    table[:, :3] = step.T
-    pick = keys & 3
-    pick |= (np.arange(n, dtype=np.uint64) << 2)[:, None]
-    flat = np.empty(keys.shape, dtype=np.int32)
-    np.take(table, pick.ravel()[:-1].view(np.int64), out=flat.ravel()[1:])
-    flat[:, 0] = base
-    np.cumsum(flat, axis=1, out=flat)
-    # t[m] ends interval m: the crossings before thr, then 1.0.
-    keys >>= 2
-    t = keys.view(np.float64)
-    lengths = np.empty_like(t)
-    np.subtract(t.ravel()[1:], t.ravel()[:-1], out=lengths.ravel()[1:])
-    lengths[:, 0] = t[:, 0]
-    return lengths > 0.0, lengths, flat
+    keys |= np.arange(4, dtype=np.uint64).repeat(np.append(widths, 1))[:, None]
+    np.putmask(keys, keys >= _AT_END, _NO_STEP)
+    return keys, rows
+
+
+def _merged(grid: RegularGrid3, setup, idx, size: int):
+    """Yield ``(keep, lengths, flat)`` of ``_chunk_intervals`` for each run
+    of at most ``size`` of the links whose pair on axis j is idx[j] of the
+    (3, P) ``setup``: the link's three runs of keys gathered from the axes'
+    crossing tables, cut at its exit threshold, one value sort per row,
+    then unpacked. With ``idx`` None the links are the pairs, and each
+    run's tables are its rows of keys as they stand."""
+    count, exit, base, step = setup[:4]
+    if idx is not None:
+        table, rows = _crossing_table(grid, count, *setup[4:])
+        pairs = idx + np.arange(0, 3 * count.shape[1], count.shape[1])[:, None]
+        exit, base, step = exit.ravel()[pairs], base.ravel()[pairs], step.ravel()[pairs]
+    thr = np.minimum(exit.min(axis=0), 1.0)
+    if (thr <= 0.0).any():
+        # The link leaves the grid at or behind its start: a sliver along
+        # an outer face, in which the marcher finds no interval either.
+        raise RuntimeError("voxel traversal produced no intervals")
+    limit = thr.view(np.uint64) << 2
+    start = base.sum(axis=0)
+    steps = np.zeros((len(thr), 4), dtype=np.intp)
+    steps[:, :3] = step.T
+    rowbits = (np.arange(len(thr), dtype=np.uint64) << 2)[:, None]
+    for first in range(0, len(thr), size):
+        part = slice(first, first + size)
+        n = len(thr[part])
+        if idx is None:
+            keys, _ = _crossing_table(grid, count[:, part], *(a[:, part] for a in setup[4:]))
+        else:
+            keys = np.empty((len(table), n), dtype=np.uint64)
+            keys[-1] = _NO_STEP  # the slot of the last interval
+            for lo, hi, col in zip(rows[:-1], rows[1:], idx[:, part]):
+                np.take(table[lo:hi], col, axis=1, out=keys[lo:hi], mode="clip")
+        # A crossing at or past thr becomes _NO_STEP, above every crossing
+        # before it; the tables did so for thr = 1.
+        early = np.flatnonzero(thr[part] < 1.0)
+        if len(early):
+            cut = keys[:, early]
+            np.putmask(cut, cut >= limit[part][early], _NO_STEP)
+            keys[:, early] = cut
+        keys = keys.T.copy()
+        keys.sort(axis=1)
+        # Interval m lies in the start voxel moved by the steps of
+        # crossings 0 .. m - 1, looked up by axis id in the link's row of
+        # `steps`; the last slot of a row takes no step, so one flat take
+        # fills every row.
+        pick = keys & 3
+        pick |= rowbits[part]
+        flat = np.empty(keys.shape, dtype=np.intp)
+        np.take(steps, pick.ravel()[:-1].view(np.intp), out=flat.ravel()[1:])
+        flat[:, 0] = start[part]
+        np.cumsum(flat, axis=1, out=flat)
+        # t[m] ends interval m: the crossings before thr, then 1.0.
+        keys >>= 2
+        t = keys.view(np.float64)
+        lengths = np.empty_like(t)
+        np.subtract(t.ravel()[1:], t.ravel()[:-1], out=lengths.ravel()[1:])
+        lengths[:, 0] = t[:, 0]
+        yield lengths > 0.0, lengths, flat
 
 
 def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
@@ -309,27 +354,31 @@ def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     ``flat``.
 
     Reproduces ``traverse_voxels`` step for step. The start voxel follows
-    ``containing_voxel``. Axis j's crossing k, with i_k = start[j] + k * inc[j]
-    the index before it, sits at (sp[j] * (i_k + 0.5 * inc[j]) - x1[j]) /
-    den[j], the marcher's own expression; on an axis the link does not move
-    along, x1[j] is -inf and every crossing +inf. The crossing whose next
-    index leaves the grid is the axis's exit, and the threshold thr = min(1,
-    earliest exit) is where marching stops. Each axis fills a block of
-    slots as wide as the most crossings a link of the chunk needs; the
-    slots beyond a link's own count hold crossings past its exit or past
+    ``containing_voxel``. A link's crossings along axis j depend only on
+    its endpoints' j-th coordinates (Siddon 1985), so each axis tabulates
+    them once per coordinate pair; here every link is its own pair. Axis
+    j's crossing k, with i_k = start[j] + k * inc[j] the index before it,
+    sits at (sp[j] * (i_k + 0.5 * inc[j]) - x1[j]) / den[j], the marcher's
+    own expression; on an axis the link does not move along, x1[j] is -inf
+    and every crossing +inf. Crossing |last - start| is the axis's exit,
+    where the next index leaves the grid, and the threshold thr = min(1,
+    earliest exit) is where marching stops. A table holds crossings 0 ..
+    count - 1 of each pair, count = min(|last - start|, floor(|delta| / sp)
+    + 2), in as many slots as the largest count of the table; the slots
+    beyond a pair's own count hold crossings at or past its exit or past
     t = 1, never before thr.
 
-    Each crossing is packed into one uint64 key, (bits of t) << 2 | axis:
-    a crossing before thr packs t clipped to at least 0, and a crossing at
-    or past thr, like the extra last slot, packs t = 1.0 with axis 3, "no
-    step". One value sort of each link's row of keys merges the three
-    axes' runs, and the unpacked t = (key >> 2) is exact, for three
-    reasons. Nonnegative doubles order like their bit patterns. Every value
-    up to 1.0 has its bits below 2**62, so the shift drops none of them
-    (and it clears the sign bit of a -0.0). Crossings of two axes at one t
-    sort by axis id, the marcher's choice, but any order would do: it only
-    picks the voxel of the zero-length interval between them, which is
-    never kept.
+    Each crossing is packed into one uint64 key, (bits of t) << 2 | axis,
+    with t clipped to [0, 1]. A link gathers its three runs and one extra
+    last slot into a row, and every key at or past thr becomes t = 1.0
+    with axis 3, "no step" (the tables do so for t = 1 already). One value
+    sort of the row merges the three runs, and the unpacked t = (key >> 2)
+    is exact, for three reasons. Nonnegative doubles order like their bit
+    patterns. Every value up to 1.0 has its bits below 2**62, so the shift
+    drops none of them (and it clears the sign bit of a -0.0). Crossings of
+    two axes at one t sort by axis id, the marcher's choice, but any order
+    would do: it only picks the voxel of the zero-length interval between
+    them, which is never kept.
 
     A link's ``stop`` is the number of its crossings before thr: interval m
     < stop ends at crossing m clipped to at least 0, interval ``stop`` ends
@@ -345,53 +394,125 @@ def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
     the grid at or behind its start raises RuntimeError, as the marcher
     finds no interval there.
     """
-    return _slot_intervals(grid, *_link_setup(grid, a, b))
+    setup = _pair_setup(grid, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    ((keep, lengths, flat),) = _merged(grid, setup, None, max(1, len(a)))
+    return keep, lengths, flat
 
 
-def _link_chunks(grid: RegularGrid3, starts, ends):
+def _chunks(grid: RegularGrid3, blocks, root):
     """Yield ``(keep, coeff, flat)`` for each run of at most _CHUNK_LINKS
     consecutive links, in order, as the (n, K) link-major arrays of
     ``_chunk_intervals`` (row i for the run's link i): ``coeff`` is
-    sqrt(|b - a|) times the interval length, the link's weight on voxel
-    ``flat``. Every link is set up once for the whole batch, exit
-    threshold included; only the crossings are computed chunk by chunk.
+    ``root`` (sqrt(|b - a|)) times the interval length, the link's weight on
+    voxel ``flat``. Each block ``(setup, idx)`` is the arguments of
+    ``_merged``."""
+    first = 0
+    for setup, idx in blocks:
+        for keep, lengths, flat in _merged(grid, setup, idx, _CHUNK_LINKS):
+            yield keep, root[first : first + len(keep), None] * lengths, flat
+            first += len(keep)
+
+
+def _link_chunks(grid: RegularGrid3, starts, ends):
+    """``_chunks`` of the links starts[i] -> ends[i], each link its own
+    coordinate pair on every axis: one block, set up once for the whole
+    batch, whose crossings are tabulated chunk by chunk.
 
     Raises DomainError, before yielding anything, if an endpoint lies
     outside the grid's voxel domain.
     """
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     ends = np.asarray(ends, dtype=float).reshape(-1, 3)
-    _check_inside(grid, starts)
-    _check_inside(grid, ends)
+    _check_inside(grid, np.concatenate([starts, ends]))
     # From the raw endpoints: origin-shifted ones lose digits on short links.
     root = np.sqrt(np.linalg.norm(ends - starts, axis=1))
-    setup = _link_setup(grid, starts, ends)
-    for first in range(0, len(starts), _CHUNK_LINKS):
-        part = slice(first, first + _CHUNK_LINKS)
-        keep, lengths, flat = _slot_intervals(grid, *(s[..., part] for s in setup))
-        yield keep, root[part, None] * lengths, flat
+    setup = _pair_setup(grid, np.ascontiguousarray(starts.T), np.ascontiguousarray(ends.T))
+    return _chunks(grid, [(setup, None)], root)
+
+
+def _matrix_chunks(grid: RegularGrid3, starts: np.ndarray, ends: np.ndarray):
+    """``_chunks`` of the links starts[m] -> ends[g], m-major.
+
+    Along axis j a link's crossings depend on its pair (starts[m, j],
+    ends[g, j]) alone, and ends on a flight grid share few coordinates, so
+    each start is paired with every distinct end coordinate of each axis.
+    A block of starts is set up and tabulated at a time, at most
+    max(_CHUNK_LINKS, distinct) pairs an axis. Links that fit in one chunk
+    go through ``_link_chunks`` instead, one pair a link: there, finding
+    the distinct coordinates and gathering the runs cost more than the
+    smaller tables save. Raises DomainError, before yielding anything, if
+    an endpoint lies outside the grid's voxel domain.
+    """
+    if len(starts) * len(ends) <= _CHUNK_LINKS:
+        return _link_chunks(grid, starts.repeat(len(ends), axis=0), np.tile(ends, (len(starts), 1)))
+    _check_inside(grid, np.concatenate([starts, ends]))
+    root = np.sqrt(np.linalg.norm(ends[None] - starts[:, None], axis=2)).ravel()
+    # rank[j, g] numbers the distinct values of ends[:, j], and
+    # distinct[j, r] is value r; all axes in one pass. An axis with fewer
+    # than the most distinct values repeats ends[0, j] in the columns left.
+    axes = np.arange(3)
+    order = np.argsort(ends, axis=0)
+    ordered = ends[order, axes]
+    new = np.zeros(ends.shape, dtype=np.intp)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    np.cumsum(new, axis=0, out=new)
+    rank = np.empty((3, len(ends)), dtype=np.intp)
+    rank[axes, order] = new
+    width = new[-1].max() + 1
+    distinct = np.repeat(ends[:1].T, width, axis=1)
+    distinct[axes, new] = ordered
+    size = max(1, _CHUNK_LINKS // width)
+
+    def blocks():
+        for first in range(0, len(starts), size):
+            block = starts[first : first + size].T
+            n = block.shape[1]
+            # Pair d * n + m: start m of the block with distinct value d.
+            setup = _pair_setup(grid, np.tile(block, width), distinct.repeat(n, axis=1))
+            yield setup, (rank[:, None, :] * n + np.arange(n)[:, None]).reshape(3, -1)
+
+    return _chunks(grid, blocks(), root)
+
+
+def _slot_order_sums(values: np.ndarray, chunks) -> np.ndarray:
+    """Each link's terms coeff * values[flat], summed left to right in slot
+    order, as one (L,) array. numpy reduces axis 0 of a C-ordered (K, n)
+    array row by row, one running sum a link; a single link's (K, 1)
+    column it would sum pairwise, so that one goes through accumulate."""
+    sums = [np.zeros(0)]
+    for _, coeff, flat in chunks:
+        terms = (coeff * values[flat]).T.copy()
+        sums.append(np.add.accumulate(terms)[-1] if terms.shape[1] == 1 else terms.sum(axis=0))
+    return np.concatenate(sums)
 
 
 def line_integrals(slf: SlfField, starts, ends) -> np.ndarray:
     """Shadowing of every link starts[i] -> ends[i], as an (L,) array.
 
     The batched form of ``shadowing_line_integral``: the intervals of
-    ``traverse_voxels``, computed per axis in closed form for a chunk of
-    links at a time. Each link's intervals are bit for bit those of the
-    link alone, but its sum can differ from its batch-of-one value in the
-    last bit (see below). A zero-length link gives 0. Raises DomainError if
-    any endpoint lies outside the field's voxel domain.
+    ``traverse_voxels``, from crossing tables in which every link is its
+    own coordinate pair, for a chunk of links at a time. Each link's terms
+    are summed left to right in slot order, so its value equals its
+    batch-of-one value bit for bit, in any batch and chunk. A zero-length
+    link gives 0. Raises DomainError if any endpoint lies outside the
+    field's voxel domain.
     """
-    values = slf.values.ravel()
-    chunks = _link_chunks(slf.grid, starts, ends)
-    # Each link's terms are summed as one row, as long as its chunk has
-    # slots. numpy's pairwise sum groups the terms by that length, so a
-    # link's value depends on the other links of its chunk, by about 1e-16
-    # relative.
-    return np.concatenate(
-        [np.zeros(0)]
-        + [(coeff * values[flat]).sum(axis=1) for _, coeff, flat in chunks]
-    )
+    return _slot_order_sums(slf.values.ravel(), _link_chunks(slf.grid, starts, ends))
+
+
+def line_integral_matrix(slf: SlfField, starts, ends) -> np.ndarray:
+    """Shadowing of every link starts[m] -> ends[g], as an (M, G) array.
+
+    Bit for bit ``line_integrals`` of the M * G links, m-major, but each
+    axis tabulates the crossings of every start with each distinct end
+    coordinate only once (see ``_matrix_chunks``): the capacity matrix of a
+    flight grid. Raises DomainError if any endpoint lies outside the
+    field's voxel domain.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    ends = np.asarray(ends, dtype=float).reshape(-1, 3)
+    sums = _slot_order_sums(slf.values.ravel(), _matrix_chunks(slf.grid, starts, ends))
+    return sums.reshape(len(starts), len(ends))
 
 
 def shadowing_line_integral(slf: SlfField, seg: Segment3) -> float:
@@ -401,8 +522,8 @@ def shadowing_line_integral(slf: SlfField, seg: Segment3) -> float:
     segment of length d the result is l0 * sqrt(d) regardless of grid
     spacing. Continuous in both endpoints. A zero-length segment returns 0
     by convention. Runs ``line_integrals`` on a batch of one, so it raises
-    DomainError as that does, for zero-length segments too, and the same
-    link inside a larger batch can differ from it in the last bit.
+    DomainError as that does, for zero-length segments too, and equals the
+    same link's value in any batch.
     """
     return float(line_integrals(slf, seg.a.as_tuple(), seg.b.as_tuple())[0])
 
@@ -533,18 +654,33 @@ def write_slf_text(field: SlfField, path) -> None:
 
 
 def read_slf_text(path) -> SlfField:
+    """The field of a ``write_slf_text`` file. ValueError naming the path
+    for a truncated header, a header token that is not a number, invalid
+    dims, spacing or origin, and a value count other than the dims give;
+    naming the path and the line for a value that is not a finite
+    number."""
     with open(path) as fh:
-        tokens = fh.read().split()
+        tokens = [(line, token) for line, text in enumerate(fh, 1) for token in text.split()]
     if len(tokens) < 9:
         raise ValueError(f"{path}: truncated field header")
-    dims = tuple(int(t) for t in tokens[:3])
-    spacing = tuple(float(t) for t in tokens[3:6])
-    origin = Point3(*(float(t) for t in tokens[6:9]))
-    values = np.array([float(t) for t in tokens[9:]])
-    expected = dims[0] * dims[1] * dims[2]
-    if values.size != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {values.size}")
-    grid = RegularGrid3(origin, spacing, dims)
+    header = [token for _, token in tokens[:9]]
+    try:
+        dims = tuple(int(t) for t in header[:3])
+        grid = RegularGrid3(Point3(*map(float, header[6:9])), tuple(map(float, header[3:6])), dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: field header: {exc}") from None
+    values = np.empty(len(tokens) - 9)
+    for i, (line, token) in enumerate(tokens[9:]):
+        try:
+            values[i] = float(token)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    bad = ~np.isfinite(values)
+    if bad.any():
+        line, token = tokens[9 + np.argmax(bad)]
+        raise ValueError(f"{path}, line {line}: field values must be finite, got {token}")
+    if values.size != grid.num_points:
+        raise ValueError(f"{path}: expected {grid.num_points} values, found {values.size}")
     return SlfField(grid, values.reshape(dims))
 
 

@@ -17,6 +17,7 @@ from absplace import (
     SlfField,
     build_urban,
     estimate_slf,
+    line_integral_matrix,
     line_integrals,
     read_measurements_csv,
     read_slf_text,
@@ -260,7 +261,8 @@ class TestBatchedKernel:
         early = 0
         for grid in self.grids():
             a, b = outer_boundary_links(rng, grid)
-            early += np.count_nonzero(tomography._link_setup(grid, a, b)[-1] < 1.0)
+            exit = tomography._pair_setup(grid, a.T, b.T)[1]  # per axis, per link
+            early += np.count_nonzero(exit.min(axis=0) < 1.0)
             self.assert_marcher_intervals(grid, a, b)
         assert early > 100
 
@@ -278,10 +280,9 @@ class TestBatchedKernel:
         self.assert_marcher_intervals(city.slf.grid, a, b)
 
     def test_links_do_not_depend_on_their_batch(self):
-        # each link's intervals in a mixed batch of five chunks, bit for bit
-        # those of the link run alone; its shadowing to the last bits only,
-        # since the pairwise sum of a row groups by the row's length, which
-        # is the slot count of the link's chunk
+        # each link's intervals and shadowing in a mixed batch of five
+        # chunks, bit for bit those of the link run alone: its terms are
+        # summed left to right, whatever the slot count of its chunk
         rng = np.random.default_rng(68)
         for grid in self.grids():
             a, b = edge_case_links(rng, grid)
@@ -302,7 +303,75 @@ class TestBatchedKernel:
                 np.testing.assert_array_equal(chunk_coeff[chunk_keep], c2[k2])
                 np.testing.assert_array_equal(chunk_flat[chunk_keep], f2[k2])
                 alone = line_integrals(field, a[i : i + 1], b[i : i + 1])
-                np.testing.assert_allclose(shadow[i], alone[0], rtol=1e-15, atol=0)
+                np.testing.assert_array_equal(shadow[i], alone[0])
+
+    def test_values_do_not_depend_on_the_chunk_length(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        grid = SKEWED
+        field = SlfField(grid, rng.uniform(0.5, 3.5, grid.dims))
+        a, b = edge_case_links(rng, grid)
+        users, cands = face_biased_points(rng, grid, 7), face_biased_points(rng, grid, 60)
+        want = line_integrals(field, a, b)
+        want_matrix = line_integral_matrix(field, users, cands)
+        for chunk in (1, 2, 7, tomography._CHUNK_LINKS, 5000):
+            monkeypatch.setattr(tomography, "_CHUNK_LINKS", chunk)
+            np.testing.assert_array_equal(line_integrals(field, a, b), want)
+            np.testing.assert_array_equal(line_integral_matrix(field, users, cands), want_matrix)
+
+    @staticmethod
+    def assert_matrix_is_tiled_batch(field, users, cands):
+        users, cands = np.asarray(users, dtype=float), np.asarray(cands, dtype=float)
+        got = line_integral_matrix(field, users, cands)
+        assert got.shape == (len(users), len(cands))
+        tiled = line_integrals(field, np.repeat(users, len(cands), axis=0), np.tile(cands, (len(users), 1)))
+        np.testing.assert_array_equal(got.ravel(), tiled)
+
+    def test_matrix_equals_the_tiled_batch(self):
+        # the users x candidates tables, bit for bit the batch of every
+        # pair: a city's flight grid, the same grid thinned at random,
+        # candidates with no coordinate in common, face-biased points on a
+        # skewed grid (grid exits before t = 1), one user and one candidate
+        params = ScenarioParams(building_height=60.0, slf_dims=(17, 17, 8), flight_dims=(10, 8, 4))
+        chan = ChannelParams(
+            wavelength=0.125, bandwidth=20e6, tx_power=0.1, noise_power=1e-12, min_rate=5e6
+        )
+        city = build_urban(params, chan)
+        rng = np.random.default_rng(72)
+        users = [p.as_tuple() for p in sample_users(city, 20, rng=73)]
+        flight = np.array([p.as_tuple() for p in city.flight_points])
+        self.assert_matrix_is_tiled_batch(city.slf, users, flight)
+        self.assert_matrix_is_tiled_batch(city.slf, users, flight[rng.random(len(flight)) < 0.3])
+        lo, hi = city.slf.grid.domain_bounds()
+        self.assert_matrix_is_tiled_batch(city.slf, users, rng.uniform(lo, hi, (40, 3)))
+        self.assert_matrix_is_tiled_batch(city.slf, users[:1], flight[:1])
+        field = SlfField(SKEWED, rng.uniform(0.5, 3.5, SKEWED.dims))
+        self.assert_matrix_is_tiled_batch(field, face_biased_points(rng, SKEWED, 9), face_biased_points(rng, SKEWED, 70))
+        self.assert_matrix_is_tiled_batch(field, np.zeros((0, 3)), face_biased_points(rng, SKEWED, 3))
+
+    def test_matrix_domain(self):
+        field = random_field(np.random.default_rng(74))
+        with pytest.raises(DomainError):
+            line_integral_matrix(field, [[1.0, 1.0, 1.0]], [[3.0, 3.0, 3.0], [2.0, 9.0, 2.0]])
+        with pytest.raises(DomainError):
+            line_integral_matrix(field, [[1.0, 1.0, -3.0]], [[3.0, 3.0, 3.0]])
+
+    def test_numpy_sums_axis_zero_left_to_right(self):
+        # The kernel sums each link's terms as one column of a C-ordered
+        # (slots, links) array, and relies on numpy adding its rows in
+        # order, one running sum a column; a single link, which numpy would
+        # sum pairwise as a (K, 1) column, goes through accumulate. A numpy
+        # that changes either order fails here.
+        rng = np.random.default_rng(75)
+        for k, n in [(1, 2), (2, 2), (9, 2), (37, 3), (40, 256), (130, 17)]:
+            terms = rng.uniform(-1.0, 1.0, (k, n)) * 10.0 ** rng.integers(-12, 12, (k, n))
+            loop = terms[0].copy()
+            for row in terms[1:]:
+                loop = loop + row
+            np.testing.assert_array_equal(terms.sum(axis=0), loop)
+            for i in range(n):
+                coeff = terms[:, i][None]
+                got = tomography._slot_order_sums(np.ones(k), [(None, coeff, np.arange(k)[None])])
+                np.testing.assert_array_equal(got, loop[i : i + 1])
 
     def test_crossing_behind_start_clips_to_zero(self):
         # a sits on a voxel corner; one of its faces rounds to a parameter
@@ -695,4 +764,26 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("2 2 2 1.0 1.0 1.0 0.0 0.0 0.0\n1.0 2.0\n")
         with pytest.raises(ValueError):
+            read_slf_text(path)
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("2 2 x 1.0 1.0 1.0 0.0 0.0 0.0\n", "", "invalid literal"),
+            ("1 1 1 1.0 y 1.0 0.0 0.0 0.0\n1.0\n", "", "could not convert"),
+            ("2 2 0 1.0 1.0 1.0 0.0 0.0 0.0\n", "", "dims must be positive"),
+            ("1 1 1 1.0 -1.0 1.0 0.0 0.0 0.0\n1.0\n", "", "spacing must be strictly positive"),
+            ("1 1 1 1.0 1.0 1.0 0.0 inf 0.0\n1.0\n", "", "coordinates must be finite"),
+            ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n1.0\nx\n", ", line 3", "could not convert"),
+            ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n1.0\nnan\n", ", line 3", "must be finite"),
+            ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n-inf\n2.0\n", ", line 2", "must be finite"),
+            ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n1.0\n", "", "expected 2 values, found 1"),
+        ],
+        ids=["dims_token", "spacing_token", "zero_dim", "negative_spacing", "inf_origin",
+             "value_token", "nan_value", "inf_value", "value_count"],
+    )
+    def test_slf_text_names_the_file(self, tmp_path, text, where, message):
+        path = tmp_path / "field.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)}: .*{message}"):
             read_slf_text(path)
