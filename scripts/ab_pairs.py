@@ -15,8 +15,9 @@ median, the pairs the change won and those it tied, and a verdict:
   interquartile range;
 - worse: the change's median is worse than the base's by more than the
   metric's bound;
-- unresolved: neither; or the base's interquartile range is wider than
-  the bound, so that its own runs spread too widely to tell.
+- unresolved: neither; or fewer than 2 pairs ran, or the base's
+  interquartile range is wider than the bound, so that its own runs give
+  no spread or spread too widely to tell.
 
 It reports and gates nothing. Exits 1 when a run failed a check or printed
 no result, 0 otherwise.
@@ -45,7 +46,7 @@ def compare(base, change, better: str, bound: float) -> dict:
     gain = sign * (median - change_median)  # > 0 when the change is better
     won = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     tied = sum(b == c for b, c in zip(base, change))
-    if q3 - q1 > bound * abs(median):
+    if len(base) < 2 or q3 - q1 > bound * abs(median):
         verdict = "unresolved"
     elif -gain > bound * abs(median):
         verdict = "worse"

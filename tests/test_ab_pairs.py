@@ -48,9 +48,10 @@ def test_better_needs_ten_pairs():
 def test_loss_beyond_the_bound_is_worse():
     assert compare(BASE, [b * 1.3 for b in BASE], "lower", 0.25)["verdict"] == "worse"
     assert compare(BASE, [b * 1.2 for b in BASE], "lower", 0.25)["verdict"] == "unresolved"
-    # one pair, as in a smoke run, can be worse but never better
-    assert compare([1.0], [2.0], "lower", 0.25)["verdict"] == "worse"
+    # one pair, as in a smoke run, shows no spread: neither worse nor better
+    assert compare([1.0], [2.0], "lower", 0.25)["verdict"] == "unresolved"
     assert compare([1.0], [0.5], "lower", 0.25)["verdict"] == "unresolved"
+    assert compare([1.0, 1.01], [2.0, 2.0], "lower", 0.25)["verdict"] == "worse"
 
 
 def test_noisy_base_is_unresolved():
