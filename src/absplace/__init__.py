@@ -43,7 +43,6 @@ from .tomography import (
     SlfField,
     TraversalResult,
     estimate_slf,
-    line_integral_matrix,
     line_integrals,
     read_measurements_csv,
     read_slf_text,

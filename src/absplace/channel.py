@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import Point3
-from .tomography import SlfField, line_integral_matrix
+from .tomography import SlfField, _line_integral_matrix
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -142,7 +142,7 @@ def capacity_bps(params: ChannelParams, gain: float) -> float:
 def build_capacity_matrix(params: ChannelParams, users, candidates, slf: SlfField) -> CapacityMatrix:
     """Capacity of every user-candidate link, shadowed by the loss field.
 
-    All M x G links go through ``line_integral_matrix`` in one batch;
+    All M x G links go through ``_line_integral_matrix`` in one batch;
     distance, gain and rate are computed as arrays, by the formulas of
     ``gain_db`` and ``capacity_bps``. Every user and candidate must lie
     inside the field's voxel domain, and no user may coincide with a
@@ -155,7 +155,7 @@ def build_capacity_matrix(params: ChannelParams, users, candidates, slf: SlfFiel
     distance = np.linalg.norm(c[None] - u[:, None], axis=2)
     if np.any(distance == 0.0):
         raise DomainError("gain undefined for coincident endpoints")
-    shadow = line_integral_matrix(slf, u, c)
+    shadow = _line_integral_matrix(slf, u, c)
     rate = _shannon_bps(params, _free_space_db(params, distance) - shadow)
     return CapacityMatrix(rate, users, candidates)
 

@@ -17,7 +17,6 @@ from absplace import (
     SlfField,
     build_urban,
     estimate_slf,
-    line_integral_matrix,
     line_integrals,
     read_measurements_csv,
     read_slf_text,
@@ -312,16 +311,16 @@ class TestBatchedKernel:
         a, b = edge_case_links(rng, grid)
         users, cands = face_biased_points(rng, grid, 7), face_biased_points(rng, grid, 60)
         want = line_integrals(field, a, b)
-        want_matrix = line_integral_matrix(field, users, cands)
+        want_matrix = tomography._line_integral_matrix(field, users, cands)
         for chunk in (1, 2, 7, tomography._CHUNK_LINKS, 5000):
             monkeypatch.setattr(tomography, "_CHUNK_LINKS", chunk)
             np.testing.assert_array_equal(line_integrals(field, a, b), want)
-            np.testing.assert_array_equal(line_integral_matrix(field, users, cands), want_matrix)
+            np.testing.assert_array_equal(tomography._line_integral_matrix(field, users, cands), want_matrix)
 
     @staticmethod
     def assert_matrix_is_tiled_batch(field, users, cands):
         users, cands = np.asarray(users, dtype=float), np.asarray(cands, dtype=float)
-        got = line_integral_matrix(field, users, cands)
+        got = tomography._line_integral_matrix(field, users, cands)
         assert got.shape == (len(users), len(cands))
         tiled = line_integrals(field, np.repeat(users, len(cands), axis=0), np.tile(cands, (len(users), 1)))
         np.testing.assert_array_equal(got.ravel(), tiled)
@@ -351,9 +350,9 @@ class TestBatchedKernel:
     def test_matrix_domain(self):
         field = random_field(np.random.default_rng(74))
         with pytest.raises(DomainError):
-            line_integral_matrix(field, [[1.0, 1.0, 1.0]], [[3.0, 3.0, 3.0], [2.0, 9.0, 2.0]])
+            tomography._line_integral_matrix(field, [[1.0, 1.0, 1.0]], [[3.0, 3.0, 3.0], [2.0, 9.0, 2.0]])
         with pytest.raises(DomainError):
-            line_integral_matrix(field, [[1.0, 1.0, -3.0]], [[3.0, 3.0, 3.0]])
+            tomography._line_integral_matrix(field, [[1.0, 1.0, -3.0]], [[3.0, 3.0, 3.0]])
 
     def test_numpy_sums_axis_zero_left_to_right(self):
         # The kernel sums each link's terms as one column of a C-ordered
@@ -778,9 +777,10 @@ class TestSerialization:
             ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n1.0\nnan\n", ", line 3", "must be finite"),
             ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n-inf\n2.0\n", ", line 2", "must be finite"),
             ("1 1 2 1.0 1.0 1.0 0.0 0.0 0.0\n1.0\n", "", "expected 2 values, found 1"),
+            ("1 1 2\n1.0 1.0 1.0\n0.0 0.0 0.0 1.0 1e999\n", ", line 3", "must be finite"),
         ],
         ids=["dims_token", "spacing_token", "zero_dim", "negative_spacing", "inf_origin",
-             "value_token", "nan_value", "inf_value", "value_count"],
+             "value_token", "nan_value", "inf_value", "value_count", "value_on_header_line"],
     )
     def test_slf_text_names_the_file(self, tmp_path, text, where, message):
         path = tmp_path / "field.txt"
