@@ -2,7 +2,7 @@
 
     python3 scripts/ab_pairs.py BASE --workloads urban_place --pairs 10 --seconds 35
 
-Checks BASE out with `git worktree` into a temporary directory, which is
+Extracts BASE with `git archive` into a temporary directory, which is
 removed on exit, and runs benchmarks/run.py --trace 0 from both trees:
 --pairs pairs per workload (default: every workload of BENCHMARK.json),
 pair i at seed --seed + i on both sides, and the side that runs first
@@ -71,21 +71,26 @@ def summarize(spec: dict, pairs) -> list[dict]:
     return rows
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float):
-    """The end-to-end metrics of one run.py call from ``tree``, as
-    {name: value}, and whether it passed every check; None, False when it
-    printed no result."""
+def benchmark_spec() -> dict:
+    """BENCHMARK.json of this source tree: its workloads and metrics."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0):
+    """(environment stamp, result) of one benchmarks/run.py call from the
+    source tree ``tree``, the last two lines it prints; both None when it
+    printed no result. Passes the run's stderr on."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
+    sys.stderr.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not lines:
-        sys.stderr.write(proc.stderr)
-        return None, False
-    result = json.loads(lines[-1])
-    return {k: v["value"] for k, v in result["metrics"].items()}, result["correct"]
+    if proc.returncode not in (0, 1) or len(lines) < 2 or not lines[-2].startswith("environment "):
+        print(f"{workload} --trace {trace}: exit {proc.returncode}, no result", file=sys.stderr)
+        return None, None
+    return json.loads(lines[-2].split(" ", 1)[1]), json.loads(lines[-1])
 
 
 def parse_args(argv):
@@ -100,39 +105,35 @@ def parse_args(argv):
 
 def main(argv) -> int:
     args = parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = benchmark_spec()
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     ok = True
-    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as scratch:
-        base_tree = Path(scratch) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base_tree), args.base],
-                       cwd=ROOT, check=True)
-        try:
-            for workload in workloads:
-                pairs = []
-                for i in range(args.pairs):
-                    seed = args.seed + i
-                    sides = [("base", base_tree), ("change", ROOT)]
-                    results = {}
-                    for side, tree in sides if i % 2 == 0 else sides[::-1]:
-                        metrics, correct = run(tree, workload, seed, args.seconds)
-                        if metrics is None or not correct:
-                            print(f"{workload} seed {seed} {side}: failed a check or printed no result",
-                                  file=sys.stderr)
-                            ok = False
-                        results[side] = metrics or {}
-                    pairs.append((results["base"], results["change"]))
-                    print(f"{workload}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
-                print(f"{workload} ({args.pairs} pairs of {args.seconds:g} s, seeds {args.seed}.."
-                      f"{args.seed + args.pairs - 1}, base {args.base})")
-                print(f"  {'metric':16s} {'base median [q1, q3]':>34s} {'change':>12s} "
-                      f"{'won':>6s} {'tied':>4s}  verdict")
-                for row in summarize(spec, pairs):
-                    spread = f"{row['base_median']:.6g} [{row['base_q1']:.6g}, {row['base_q3']:.6g}]"
-                    print(f"  {row['metric']:16s} {spread:>34s} {row['change_median']:12.6g} "
-                          f"{row['won']:>3d}/{row['pairs']:<2d} {row['tied']:>4d}  {row['verdict']}")
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as base_tree:
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", base_tree], input=archive.stdout, check=True)
+        for workload in workloads:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                sides = [("base", Path(base_tree)), ("change", ROOT)]
+                results = {}
+                for side, tree in sides if i % 2 == 0 else sides[::-1]:
+                    _, result = run(tree, workload, seed, args.seconds)
+                    if result is None or not result["correct"]:
+                        print(f"{workload} seed {seed} {side}: failed a check or printed no result",
+                              file=sys.stderr)
+                        ok = False
+                    results[side] = {k: v["value"] for k, v in result["metrics"].items()} if result else {}
+                pairs.append((results["base"], results["change"]))
+                print(f"{workload}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
+            print(f"{workload} ({args.pairs} pairs of {args.seconds:g} s, seeds {args.seed}.."
+                  f"{args.seed + args.pairs - 1}, base {args.base})")
+            print(f"  {'metric':16s} {'base median [q1, q3]':>34s} {'change':>12s} "
+                  f"{'won':>6s} {'tied':>4s}  verdict")
+            for row in summarize(spec, pairs):
+                spread = f"{row['base_median']:.6g} [{row['base_q1']:.6g}, {row['base_q3']:.6g}]"
+                print(f"  {row['metric']:16s} {spread:>34s} {row['change_median']:12.6g} "
+                      f"{row['won']:>3d}/{row['pairs']:<2d} {row['tied']:>4d}  {row['verdict']}")
     return 0 if ok else 1
 
 

@@ -16,17 +16,10 @@ written all the same.
 import argparse
 import json
 import platform
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def workloads() -> list[str]:
-    """The workload names that BENCHMARK.json declares, in its order."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [w["name"] for w in spec["workloads"]]
+from ab_pairs import ROOT, benchmark_spec, run
 
 
 def parse_args(argv):
@@ -49,31 +42,15 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int):
-    """(environment stamp, result) of one run.py call; result is None when
-    the run printed no result."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    sys.stderr.write(proc.stderr)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or len(lines) < 2 or not lines[-2].startswith("environment "):
-        print(f"{workload} --trace {trace}: exit {proc.returncode}, no result", file=sys.stderr)
-        return None, None
-    return json.loads(lines[-2].split(" ", 1)[1]), json.loads(lines[-1])
-
-
 def main(argv) -> int:
     args = parse_args(argv)
     snapshot = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
                 "environment": None, "workloads": {}}
     ok = True
-    for workload in workloads():
+    for workload in (w["name"] for w in benchmark_spec()["workloads"]):
         entry = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            env, result = run_once(workload, args.seed, args.seconds, trace)
+            env, result = run(ROOT, workload, args.seed, args.seconds, trace)
             if result is None:
                 ok = False
                 entry[key] = None

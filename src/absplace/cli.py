@@ -73,9 +73,12 @@ def _parse_point(text: str) -> Point3:
     if len(parts) != 3:
         raise ConfigError(f"point {text!r} must be x,y,z")
     try:
-        return Point3(*(float(p) for p in parts))
+        coords = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"point {text!r} must be numeric x,y,z") from None
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError(f"point {text!r}: coordinates must be finite")
+    return Point3(*coords)
 
 
 def _dump_json(payload: dict) -> str:
@@ -84,7 +87,10 @@ def _dump_json(payload: dict) -> str:
 
 def _out_dir(cfg: RunConfig, out: str | None) -> Path:
     path = Path(out if out is not None else cfg.output.dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
     return path
 
 

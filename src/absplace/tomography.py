@@ -19,10 +19,12 @@ planes of Siddon 1985), so the batched kernel has two parts. Crossing
 tables: for each axis and coordinate pair, the face crossings in closed
 form, clipped to [0, 1] and packed into integer keys (the bits of the
 parameter over the axis id), with the pair's start index, direction and
-exit parameter. One merge, for a bounded chunk of links at a time: each
-link gathers its three runs of keys, cuts them at its exit threshold (the
-parameter where it leaves the grid or reaches its end), sorts its row by
-value and weights the intervals by the field. Each link's terms are summed
+exit parameter. One merge (``_merged``), for a bounded chunk of links at
+a time: each link gathers its three runs of keys, cuts them at its exit
+threshold (the parameter where it leaves the grid or reaches its end),
+sorts its row by value and yields each interval's voxel and weight,
+sqrt(|b - a|) times its length. The design matrix stores the weights;
+the shadowing multiplies them by the field and sums each link's terms
 left to right in slot order, so its value does not depend on the batch or
 chunk it is in. ``line_integrals`` (the estimator's design matrix,
 ``shadowing_line_integral``) makes every link its own pair;
@@ -230,7 +232,7 @@ def _pair_setup(grid: RegularGrid3, p: np.ndarray, q: np.ndarray):
     den)``. ``count`` is the number of crossings a table holds, ``exit``
     the parameter where the pair's index leaves the grid, ``base`` and
     ``step`` the flat-index offsets of its start index and of one crossing;
-    the last four place the crossings. See ``_chunk_intervals``."""
+    the last four place the crossings. See ``_merged``."""
     origin = np.array(grid.origin.as_tuple())[:, None]
     sp = np.array(grid.spacing)[:, None]
     dims = np.array(grid.dims, dtype=float)[:, None]
@@ -282,13 +284,58 @@ def _crossing_table(grid: RegularGrid3, count, inc, half, x1, den):
     return keys, rows
 
 
-def _merged(grid: RegularGrid3, setup, idx, size: int):
-    """Yield ``(keep, lengths, flat)`` of ``_chunk_intervals`` for each run
-    of at most ``size`` of the links whose pair on axis j is idx[j] of the
-    (3, P) ``setup``: the link's three runs of keys gathered from the axes'
-    crossing tables, cut at its exit threshold, one value sort per row,
-    then unpacked. With ``idx`` None the links are the pairs, and each
-    run's tables are its rows of keys as they stand."""
+def _merged(grid: RegularGrid3, setup, idx, root):
+    """Yield ``(coeff, flat)`` for each run of at most _CHUNK_LINKS links,
+    in order: the links whose pair on axis j is idx[j] of the (3, P)
+    ``setup`` of ``_pair_setup``, or with ``idx`` None the pairs
+    themselves. Both are (n, K) link-major arrays: row i lists the run's
+    link i's intervals in traversal order, each in the voxel of flat index
+    ``flat`` with weight ``coeff``, root[i] (the link's sqrt(|b - a|), or 1
+    for the bare lengths) times its parameter length. With ``idx`` the
+    axes' crossing tables are built once and each run gathers its columns;
+    without, each run tabulates its own pairs.
+
+    Reproduces ``traverse_voxels`` step for step. The start voxel follows
+    ``containing_voxel``. A link's crossings along axis j depend only on
+    its endpoints' j-th coordinates (Siddon 1985), so each axis tabulates
+    them once per coordinate pair. Axis j's crossing k, with i_k = start[j]
+    + k * inc[j] the index before it, sits at (sp[j] * (i_k + 0.5 *
+    inc[j]) - x1[j]) / den[j], the marcher's own expression; on an axis the
+    pair does not move along, x1[j] is -inf and every crossing +inf.
+    Crossing |last - start| is the axis's exit, where the next index
+    leaves the grid, and the threshold thr = min(1, earliest exit) is where
+    marching stops. A table holds crossings 0 .. count - 1 of each pair,
+    count = min(|last - start|, floor(|delta| / sp) + 2), in as many slots
+    as the largest count of the table; the slots beyond a pair's own count
+    hold crossings at or past its exit or past t = 1, never before thr.
+
+    Each crossing is packed into one uint64 key, (bits of t) << 2 | axis,
+    with t clipped to [0, 1]. A link gathers its three runs and one extra
+    last slot into a row, and every key at or past thr becomes t = 1.0
+    with axis 3, "no step" (the tables do so for t = 1 already). One value
+    sort of the row merges the three runs, and the unpacked t = (key >> 2)
+    is exact, for three reasons. Nonnegative doubles order like their bit
+    patterns. Every value up to 1.0 has its bits below 2**62, so the shift
+    drops none of them (and it clears the sign bit of a -0.0). Crossings of
+    two axes at one t sort by axis id, the marcher's choice, but any order
+    would do: it only picks the voxel of the zero-length interval between
+    them.
+
+    A link's ``stop`` is the number of its crossings before thr: interval m
+    < stop ends at crossing m clipped to at least 0, interval ``stop`` ends
+    at 1, later ones are empty, and an interval of zero length weighs 0.
+    The marcher lists none of these; the design matrix, whose links all
+    have a positive root, drops them by their weight. The marcher's zero-length grid exit, where a lower-axis crossing ties with
+    the exit, needs no rule of its own: the tied crossing is not before
+    thr, so the interval before it is the one that ends at 1, as the
+    marcher stretches it. With stride the flat-index step of each axis,
+    interval m lies in voxel start @ stride plus the steps inc[j] *
+    stride[j] of the crossings before it: one cumulative sum along the row
+    of the steps looked up by each key's axis id, in which axis 3 steps
+    by 0, so that every slot holds a voxel of the grid. A link that leaves
+    the grid at or behind its start raises RuntimeError, as the marcher
+    finds no interval there.
+    """
     count, exit, base, step = setup[:4]
     if idx is not None:
         table, rows = _crossing_table(grid, count, *setup[4:])
@@ -304,8 +351,8 @@ def _merged(grid: RegularGrid3, setup, idx, size: int):
     steps = np.zeros((len(thr), 4), dtype=np.intp)
     steps[:, :3] = step.T
     rowbits = (np.arange(len(thr), dtype=np.uint64) << 2)[:, None]
-    for first in range(0, len(thr), size):
-        part = slice(first, first + size)
+    for first in range(0, len(thr), _CHUNK_LINKS):
+        part = slice(first, first + _CHUNK_LINKS)
         n = len(thr[part])
         if idx is None:
             keys, _ = _crossing_table(grid, count[:, part], *(a[:, part] for a in setup[4:]))
@@ -336,84 +383,17 @@ def _merged(grid: RegularGrid3, setup, idx, size: int):
         # t[m] ends interval m: the crossings before thr, then 1.0.
         keys >>= 2
         t = keys.view(np.float64)
-        lengths = np.empty_like(t)
-        np.subtract(t.ravel()[1:], t.ravel()[:-1], out=lengths.ravel()[1:])
-        lengths[:, 0] = t[:, 0]
-        yield lengths > 0.0, lengths, flat
-
-
-def _chunk_intervals(grid: RegularGrid3, a: np.ndarray, b: np.ndarray):
-    """Voxel intervals of the links a[i] -> b[i], all in one chunk.
-
-    Returns ``(keep, lengths, flat)``, three (n, K) link-major arrays: row i
-    lists link i's intervals in traversal order; ``keep`` marks the real
-    ones, with parameter length ``lengths`` in the voxel of flat index
-    ``flat``.
-
-    Reproduces ``traverse_voxels`` step for step. The start voxel follows
-    ``containing_voxel``. A link's crossings along axis j depend only on
-    its endpoints' j-th coordinates (Siddon 1985), so each axis tabulates
-    them once per coordinate pair; here every link is its own pair. Axis
-    j's crossing k, with i_k = start[j] + k * inc[j] the index before it,
-    sits at (sp[j] * (i_k + 0.5 * inc[j]) - x1[j]) / den[j], the marcher's
-    own expression; on an axis the link does not move along, x1[j] is -inf
-    and every crossing +inf. Crossing |last - start| is the axis's exit,
-    where the next index leaves the grid, and the threshold thr = min(1,
-    earliest exit) is where marching stops. A table holds crossings 0 ..
-    count - 1 of each pair, count = min(|last - start|, floor(|delta| / sp)
-    + 2), in as many slots as the largest count of the table; the slots
-    beyond a pair's own count hold crossings at or past its exit or past
-    t = 1, never before thr.
-
-    Each crossing is packed into one uint64 key, (bits of t) << 2 | axis,
-    with t clipped to [0, 1]. A link gathers its three runs and one extra
-    last slot into a row, and every key at or past thr becomes t = 1.0
-    with axis 3, "no step" (the tables do so for t = 1 already). One value
-    sort of the row merges the three runs, and the unpacked t = (key >> 2)
-    is exact, for three reasons. Nonnegative doubles order like their bit
-    patterns. Every value up to 1.0 has its bits below 2**62, so the shift
-    drops none of them (and it clears the sign bit of a -0.0). Crossings of
-    two axes at one t sort by axis id, the marcher's choice, but any order
-    would do: it only picks the voxel of the zero-length interval between
-    them, which is never kept.
-
-    A link's ``stop`` is the number of its crossings before thr: interval m
-    < stop ends at crossing m clipped to at least 0, interval ``stop`` ends
-    at 1, later ones are empty, and zero-length intervals are dropped. The
-    marcher's zero-length grid exit, where a lower-axis crossing ties with
-    the exit, needs no rule of its own: the tied crossing is not before
-    thr, so the interval before it is the one that ends at 1, as the
-    marcher stretches it. With stride the flat-index step of each axis,
-    interval m lies in voxel start @ stride plus the steps inc[j] *
-    stride[j] of the crossings before it: one cumulative sum along the row
-    of the steps looked up by each key's axis id, in which axis 3 steps
-    by 0, so that every slot holds a voxel of the grid. A link that leaves
-    the grid at or behind its start raises RuntimeError, as the marcher
-    finds no interval there.
-    """
-    setup = _pair_setup(grid, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
-    ((keep, lengths, flat),) = _merged(grid, setup, None, max(1, len(a)))
-    return keep, lengths, flat
-
-
-def _chunks(grid: RegularGrid3, blocks, root):
-    """Yield ``(keep, coeff, flat)`` for each run of at most _CHUNK_LINKS
-    consecutive links, in order, as the (n, K) link-major arrays of
-    ``_chunk_intervals`` (row i for the run's link i): ``coeff`` is
-    ``root`` (sqrt(|b - a|)) times the interval length, the link's weight on
-    voxel ``flat``. Each block ``(setup, idx)`` is the arguments of
-    ``_merged``."""
-    first = 0
-    for setup, idx in blocks:
-        for keep, lengths, flat in _merged(grid, setup, idx, _CHUNK_LINKS):
-            yield keep, root[first : first + len(keep), None] * lengths, flat
-            first += len(keep)
+        coeff = np.empty_like(t)
+        np.subtract(t.ravel()[1:], t.ravel()[:-1], out=coeff.ravel()[1:])
+        coeff[:, 0] = t[:, 0]
+        coeff *= root[part, None]
+        yield coeff, flat
 
 
 def _link_chunks(grid: RegularGrid3, starts, ends):
-    """``_chunks`` of the links starts[i] -> ends[i], each link its own
-    coordinate pair on every axis: one block, set up once for the whole
-    batch, whose crossings are tabulated chunk by chunk.
+    """``_merged`` of the links starts[i] -> ends[i], each link its own
+    coordinate pair on every axis: set up once for the whole batch, its
+    crossings tabulated chunk by chunk.
 
     Raises DomainError, before yielding anything, if an endpoint lies
     outside the grid's voxel domain.
@@ -424,11 +404,11 @@ def _link_chunks(grid: RegularGrid3, starts, ends):
     # From the raw endpoints: origin-shifted ones lose digits on short links.
     root = np.sqrt(np.linalg.norm(ends - starts, axis=1))
     setup = _pair_setup(grid, np.ascontiguousarray(starts.T), np.ascontiguousarray(ends.T))
-    return _chunks(grid, [(setup, None)], root)
+    return _merged(grid, setup, None, root)
 
 
 def _matrix_chunks(grid: RegularGrid3, starts: np.ndarray, ends: np.ndarray):
-    """``_chunks`` of the links starts[m] -> ends[g], m-major.
+    """``_merged`` chunks of the links starts[m] -> ends[g], m-major.
 
     Along axis j a link's crossings depend on its pair (starts[m, j],
     ends[g, j]) alone, and ends on a flight grid share few coordinates, so
@@ -441,8 +421,8 @@ def _matrix_chunks(grid: RegularGrid3, starts: np.ndarray, ends: np.ndarray):
     pairs tabulates again. Timed on the benchmark's 24-point sweep grid
     (2-core x86 machine), the tables took 1.01-1.10x the link pairs' time
     at 144-240 links and 0.92-0.94x at 264; with chunks of 128 links the
-    crossover moved to between 120 and 144. Raises DomainError, before yielding anything, if
-    an endpoint lies outside the grid's voxel domain.
+    crossover moved to between 120 and 144. Raises DomainError, before
+    yielding anything, if an endpoint lies outside the grid's voxel domain.
     """
     if len(starts) * len(ends) <= _CHUNK_LINKS:
         return _link_chunks(grid, starts.repeat(len(ends), axis=0), np.tile(ends, (len(starts), 1)))
@@ -470,9 +450,10 @@ def _matrix_chunks(grid: RegularGrid3, starts: np.ndarray, ends: np.ndarray):
             n = block.shape[1]
             # Pair d * n + m: start m of the block with distinct value d.
             setup = _pair_setup(grid, np.tile(block, width), distinct.repeat(n, axis=1))
-            yield setup, (rank[:, None, :] * n + np.arange(n)[:, None]).reshape(3, -1)
+            idx = (rank[:, None, :] * n + np.arange(n)[:, None]).reshape(3, -1)
+            yield from _merged(grid, setup, idx, root[first * len(ends) : (first + n) * len(ends)])
 
-    return _chunks(grid, blocks(), root)
+    return blocks()
 
 
 def _slot_order_sums(values: np.ndarray, chunks) -> np.ndarray:
@@ -481,7 +462,7 @@ def _slot_order_sums(values: np.ndarray, chunks) -> np.ndarray:
     array row by row, one running sum a link; a single link's (K, 1)
     column it would sum pairwise, so that one goes through accumulate."""
     sums = [np.zeros(0)]
-    for _, coeff, flat in chunks:
+    for coeff, flat in chunks:
         terms = (coeff * values[flat]).T.copy()
         sums.append(np.add.accumulate(terms)[-1] if terms.shape[1] == 1 else terms.sum(axis=0))
     return np.concatenate(sums)
@@ -577,7 +558,8 @@ def _design_matrix(measurements, grid: RegularGrid3):
     ).reshape(-1, 6)
     starts, ends = links[:, :3], links[:, 3:]
     counts, cols, data = [], [], []
-    for keep, coeff, flat in _link_chunks(grid, starts, ends):
+    for coeff, flat in _link_chunks(grid, starts, ends):
+        keep = coeff > 0.0
         counts.append(keep.sum(axis=1))
         cols.append(flat[keep])
         data.append(coeff[keep])

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -82,6 +83,14 @@ class TestMap:
         )
 
 
+    @pytest.mark.parametrize("point", ["1e400,2,3", "nan,1,1", "1,-inf,1"])
+    def test_non_finite_point_is_one_line_error(self, point):
+        # these used to be reported as not numeric
+        res = run_cli(["map", *SMALL, "--tx", "10,10,0", "--rx", point])
+        assert res.exit_code == 1
+        assert res.output == f"config error: point {point!r}: coordinates must be finite\n"
+
+
 class TestPlace:
     def test_writes_results_and_succeeds(self, tmp_path):
         out = tmp_path / "out"
@@ -133,6 +142,22 @@ class TestPlace:
         assert res.exit_code == 0
         assert "warning: admm_solve stopped at max_iter = 1 without converging" in res.stderr
         assert "warning" not in res.stdout
+
+
+    @pytest.mark.parametrize(
+        "command", [["place"], ["experiment", "-O", "experiment.repetitions=1"]], ids=["place", "experiment"]
+    )
+    @pytest.mark.parametrize("below, code", [(None, errno.EEXIST), ("sub", errno.ENOTDIR)], ids=["file", "below_file"])
+    def test_unusable_output_directory_is_one_line_error(self, tmp_path, command, below, code):
+        # a file as the output directory, or as its parent, used to end in
+        # a FileExistsError or NotADirectoryError traceback
+        out = tmp_path / "file"
+        out.write_text("")
+        if below:
+            out = out / below
+        res = run_cli([*command, *SMALL, "-o", str(out)])
+        assert res.exit_code == 1
+        assert res.output == f"config error: output directory {out}: {os.strerror(code)}\n"
 
 
 class TestExperiment:

@@ -217,6 +217,20 @@ def scalar_integrals(field, a, b):
     return np.array(out)
 
 
+def kept_rows(chunks):
+    """Each link's (weights, flat) of the kernel's (coeff, flat) chunks, in
+    order, with only the slots of positive weight."""
+    return [(c[c > 0.0], f[c > 0.0]) for coeff, flat in chunks for c, f in zip(coeff, flat)]
+
+
+def kernel_intervals(grid, a, b):
+    """``kept_rows`` of the kernel's merge for the links a[i] -> b[i], each
+    its own pair, with a unit root: each link's parameter lengths, exactly,
+    and their voxels."""
+    setup = tomography._pair_setup(grid, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    return kept_rows(tomography._merged(grid, setup, None, np.ones(len(a))))
+
+
 SKEWED = RegularGrid3(Point3(-1.3, 0.4, 2.0), (0.7, 1.3, 0.45), (6, 5, 9))
 
 
@@ -240,12 +254,11 @@ class TestBatchedKernel:
         """Same voxels and bit-identical parameter lengths as the marcher,
         link by link."""
         ny, nz = grid.dims[1], grid.dims[2]
-        keep, lengths, flat = tomography._chunk_intervals(grid, a, b)
-        for i, (p, q) in enumerate(zip(a, b)):
+        for (p, q), (lengths, flat) in zip(zip(a, b), kernel_intervals(grid, a, b), strict=True):
             trav = traverse_voxels(grid, Segment3(Point3(*p), Point3(*q)))
             v = trav.voxels
-            np.testing.assert_array_equal(flat[i][keep[i]], (v[:, 0] * ny + v[:, 1]) * nz + v[:, 2])
-            np.testing.assert_array_equal(lengths[i][keep[i]], trav.interval_lengths())
+            np.testing.assert_array_equal(flat, (v[:, 0] * ny + v[:, 1]) * nz + v[:, 2])
+            np.testing.assert_array_equal(lengths, trav.interval_lengths())
 
     def test_intervals_match_marcher_exactly(self):
         rng = np.random.default_rng(61)
@@ -278,31 +291,35 @@ class TestBatchedKernel:
         a, b = np.repeat(users, len(flight), axis=0), np.tile(flight, (len(users), 1))
         self.assert_marcher_intervals(city.slf.grid, a, b)
 
-    def test_links_do_not_depend_on_their_batch(self):
-        # each link's intervals and shadowing in a mixed batch of five
-        # chunks, bit for bit those of the link run alone: its terms are
-        # summed left to right, whatever the slot count of its chunk
+    def test_links_do_not_depend_on_their_batch(self, monkeypatch):
+        # each link's intervals, weights and shadowing in a mixed batch of
+        # five chunks, and in one chunk of the whole batch, bit for bit
+        # those of the link run alone: its terms are summed left to right,
+        # whatever the slot count of its chunk
         rng = np.random.default_rng(68)
+        default = tomography._CHUNK_LINKS
         for grid in self.grids():
             a, b = edge_case_links(rng, grid)
             field = SlfField(grid, np.random.default_rng(69).uniform(0.5, 3.5, grid.dims))
-            shadow = line_integrals(field, a, b)
-            keep, lengths, flat = tomography._chunk_intervals(grid, a, b)
-            batch = [
-                (k[i], c[i], f[i])
-                for k, c, f in tomography._link_chunks(grid, a, b)
-                for i in range(len(k))
-            ]
-            assert len(batch) == len(a)
-            for i, (chunk_keep, chunk_coeff, chunk_flat) in enumerate(batch):
-                k1, l1, f1 = tomography._chunk_intervals(grid, a[i : i + 1], b[i : i + 1])
-                np.testing.assert_array_equal(lengths[i][keep[i]], l1[0][k1[0]])
-                np.testing.assert_array_equal(flat[i][keep[i]], f1[0][k1[0]])
-                ((k2, c2, f2),) = tomography._link_chunks(grid, a[i : i + 1], b[i : i + 1])
-                np.testing.assert_array_equal(chunk_coeff[chunk_keep], c2[k2])
-                np.testing.assert_array_equal(chunk_flat[chunk_keep], f2[k2])
-                alone = line_integrals(field, a[i : i + 1], b[i : i + 1])
-                np.testing.assert_array_equal(shadow[i], alone[0])
+            alone = [self.per_link(field, a[i : i + 1], b[i : i + 1])[0] for i in range(len(a))]
+            for chunk in (default, len(a)):
+                monkeypatch.setattr(tomography, "_CHUNK_LINKS", chunk)
+                for got, want in zip(self.per_link(field, a, b), alone, strict=True):
+                    for g, w in zip(got, want, strict=True):
+                        np.testing.assert_array_equal(g, w)
+
+    @staticmethod
+    def per_link(field, a, b):
+        """Each link's kept lengths and voxels of a unit root, its kept
+        weights and voxels, and its shadowing."""
+        grid = field.grid
+        kernel = zip(
+            kernel_intervals(grid, a, b),
+            kept_rows(tomography._link_chunks(grid, a, b)),
+            line_integrals(field, a, b),
+            strict=True,
+        )
+        return [(*intervals, *weights, shadow) for intervals, weights, shadow in kernel]
 
     def test_values_do_not_depend_on_the_chunk_length(self, monkeypatch):
         rng = np.random.default_rng(71)
@@ -310,12 +327,17 @@ class TestBatchedKernel:
         field = SlfField(grid, rng.uniform(0.5, 3.5, grid.dims))
         a, b = edge_case_links(rng, grid)
         users, cands = face_biased_points(rng, grid, 7), face_biased_points(rng, grid, 60)
+        meas = [Measurement(Point3(*p), Point3(*q), 0.0) for p, q in zip(a, b) if np.any(p != q)]
         want = line_integrals(field, a, b)
         want_matrix = tomography._line_integral_matrix(field, users, cands)
+        want_design = tomography._design_matrix(meas, grid)
         for chunk in (1, 2, 7, tomography._CHUNK_LINKS, 5000):
             monkeypatch.setattr(tomography, "_CHUNK_LINKS", chunk)
             np.testing.assert_array_equal(line_integrals(field, a, b), want)
             np.testing.assert_array_equal(tomography._line_integral_matrix(field, users, cands), want_matrix)
+            design = tomography._design_matrix(meas, grid)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(design, name), getattr(want_design, name))
 
     @staticmethod
     def assert_matrix_is_tiled_batch(field, users, cands):
@@ -346,6 +368,12 @@ class TestBatchedKernel:
         field = SlfField(SKEWED, rng.uniform(0.5, 3.5, SKEWED.dims))
         self.assert_matrix_is_tiled_batch(field, face_biased_points(rng, SKEWED, 9), face_biased_points(rng, SKEWED, 70))
         self.assert_matrix_is_tiled_batch(field, np.zeros((0, 3)), face_biased_points(rng, SKEWED, 3))
+        # either side of the one-chunk cutoff: 16 x 16 links take the link
+        # pairs, 1 x 257 the tables
+        assert tomography._CHUNK_LINKS == 16 * 16
+        pick = rng.permutation(len(flight))
+        self.assert_matrix_is_tiled_batch(city.slf, users[:16], flight[pick[:16]])
+        self.assert_matrix_is_tiled_batch(city.slf, users[:1], flight[pick[:257]])
 
     def test_matrix_domain(self):
         field = random_field(np.random.default_rng(74))
@@ -369,7 +397,7 @@ class TestBatchedKernel:
             np.testing.assert_array_equal(terms.sum(axis=0), loop)
             for i in range(n):
                 coeff = terms[:, i][None]
-                got = tomography._slot_order_sums(np.ones(k), [(None, coeff, np.arange(k)[None])])
+                got = tomography._slot_order_sums(np.ones(k), [(coeff, np.arange(k)[None])])
                 np.testing.assert_array_equal(got, loop[i : i + 1])
 
     def test_crossing_behind_start_clips_to_zero(self):
@@ -379,8 +407,8 @@ class TestBatchedKernel:
         a = np.array(grid.origin.as_tuple()) + np.array([0.5, 2.5, 0.5]) * np.asarray(grid.spacing)
         b = np.array([0.9777820490298805, -1.8097972059068734, 7.208302720968654])
         trav = traverse_voxels(grid, Segment3(Point3(*a), Point3(*b)))
-        keep, lengths, _ = tomography._chunk_intervals(grid, a[None], b[None])
-        np.testing.assert_array_equal(lengths[keep], trav.interval_lengths())
+        ((lengths, _),) = kernel_intervals(grid, a[None], b[None])
+        np.testing.assert_array_equal(lengths, trav.interval_lengths())
 
     def test_zero_length_grid_exit_stretches_last_interval(self):
         # b sits on the x face between voxels 0 and 1 and on the outer y
@@ -391,8 +419,8 @@ class TestBatchedKernel:
         a, b = np.array([-9.2, -9.2, -9.3]), np.array([-8.0, -8.0, -9.3])
         trav = traverse_voxels(grid, Segment3(Point3(*a), Point3(*b)))
         assert [tuple(v) for v in trav.voxels] == [(0, 0, 0)]
-        keep, lengths, flat = tomography._chunk_intervals(grid, a[None], b[None])
-        assert flat[keep].tolist() == [0] and lengths[keep].tolist() == [1.0]
+        ((lengths, flat),) = kernel_intervals(grid, a[None], b[None])
+        assert flat.tolist() == [0] and lengths.tolist() == [1.0]
         field = SlfField(grid, np.array([2.0, 5.0]).reshape(2, 1, 1))
         assert line_integrals(field, a, b)[0] == 2.0 * math.sqrt(float(np.linalg.norm(b - a)))
 
