@@ -7,8 +7,10 @@ removed on exit, and runs benchmarks/run.py --trace 0 from both trees:
 --pairs pairs per workload (default: every workload of BENCHMARK.json),
 pair i at seed --seed + i on both sides, and the side that runs first
 alternating from pair to pair. Then it prints, per workload and end-to-end
-metric of BENCHMARK.json, the base's median and quartiles, the change's
-median, the pairs the change won and those it tied, and a verdict:
+metric of BENCHMARK.json, over the pairs in which both runs report it (a
+failed run drops only its own pair): the base's median and quartiles, the
+change's median, the pairs the change won out of those compared, the pairs
+it tied, and a verdict:
 
 - better: the change won at least 9 of every 10 pairs (and at least 10
   pairs ran), and its median beats the base's by more than the base's
@@ -59,14 +61,16 @@ def compare(base, change, better: str, bound: float) -> dict:
 
 
 def summarize(spec: dict, pairs) -> list[dict]:
-    """``compare`` for each end-to-end metric of ``spec`` (BENCHMARK.json)
-    that every run of ``pairs``, a list of (base metrics, change metrics),
-    reports, with its name."""
+    """``compare`` for each end-to-end metric of ``spec`` (BENCHMARK.json),
+    with its name, over the pairs of ``pairs``, a list of (base metrics,
+    change metrics), in which both runs report it. A failed run drops only
+    its own pair; a metric that no pair reports on both sides is skipped."""
     rows = []
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        if all(side.get(name) is not None for pair in pairs for side in pair):
-            base, change = [b[name] for b, _ in pairs], [c[name] for _, c in pairs]
+        both = [(b[name], c[name]) for b, c in pairs if b.get(name) is not None and c.get(name) is not None]
+        if both:
+            base, change = zip(*both)
             rows.append({"metric": name, **compare(base, change, metric["better"], metric["bound"])})
     return rows
 

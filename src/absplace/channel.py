@@ -39,8 +39,21 @@ SPEED_OF_LIGHT = 2.998e8  # m/s, used for the frequency <-> wavelength conversio
 
 
 def noise_power_from_dbm(dbm: float) -> float:
-    """Convert a noise power in dBm to watts."""
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    """Convert a noise power in dBm to watts.
+
+    ValueError unless the power in watts is finite and positive: a level
+    that overflows it, underflows it to 0 W or is not a number.
+    """
+    dbm = float(dbm)  # a numpy scalar would overflow with a RuntimeWarning
+    try:
+        watts = 10.0 ** (dbm / 10.0) * 1e-3
+    except OverflowError:
+        watts = math.inf
+    if watts == math.inf:
+        raise ValueError(f"noise_power_dbm {dbm} overflows the noise power in watts")
+    if not watts > 0.0:
+        raise ValueError(f"noise_power_dbm {dbm} gives a noise power of {watts} W, not positive")
+    return watts
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,16 @@ class ChannelParams:
 
     @classmethod
     def from_frequency(cls, frequency_hz: float, **kwargs) -> "ChannelParams":
-        return cls(wavelength=SPEED_OF_LIGHT / frequency_hz, **kwargs)
+        """The parameters at wavelength c / ``frequency_hz``. ValueError
+        unless the frequency is finite and positive and the wavelength
+        finite."""
+        frequency_hz = float(frequency_hz)  # a numpy scalar would overflow with a RuntimeWarning
+        if not 0.0 < frequency_hz < math.inf:
+            raise ValueError(f"frequency_hz must be strictly positive, got {frequency_hz}")
+        wavelength = SPEED_OF_LIGHT / frequency_hz
+        if not math.isfinite(wavelength):
+            raise ValueError(f"frequency_hz {frequency_hz} overflows the wavelength")
+        return cls(wavelength=wavelength, **kwargs)
 
     def with_min_rate(self, min_rate: float) -> "ChannelParams":
         return replace(self, min_rate=min_rate)

@@ -156,9 +156,9 @@ def _build_instance(cfg: RunConfig):
 def cmd_place(config_path, overrides, out):
     """Solve one placement instance; write JSON result and positions CSV."""
     cfg = load_config(config_path, overrides)
+    out_dir = _out_dir(cfg, out)
     scenario, cm = _build_instance(cfg)
     result = solve_placement(cm, cfg.channel.min_rate)
-    out_dir = _out_dir(cfg, out)
 
     payload = {
         "n_abs": result.n_abs,
@@ -189,8 +189,8 @@ def cmd_place(config_path, overrides, out):
 def cmd_experiment(config_path, overrides, out):
     """Run the configured sweep; write per-run and aggregated CSVs."""
     cfg = load_config(config_path, overrides)
-    result = run_experiment(cfg.experiment)
     out_dir = _out_dir(cfg, out)
+    result = run_experiment(cfg.experiment)
     write_runs_csv(result, out_dir / "runs.csv", record_timing=cfg.output.record_timing)
     write_summary_csv(result, out_dir / "summary.csv")
     click.echo(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'summary.csv'}")

@@ -1,26 +1,28 @@
 """Run configuration: one YAML document drives every CLI command.
 
-Sections: channel, scenario, experiment, output. The scenario, experiment
-and output sections are read straight into the library's dataclasses
-(``ScenarioParams``, ``ExperimentSpec``, ``OutputConfig``): a key left out
-takes the dataclass's own default, and a value the dataclass rejects is
+Sections: channel, scenario, experiment, output. All four go through one
+builder, ``_build``: the scenario, experiment and output sections are read
+straight into the library's dataclasses (``ScenarioParams``,
+``ExperimentSpec``, ``OutputConfig``) and the channel section into
+``_channel``, which returns ``ChannelParams``. A key left out takes the
+default of the dataclass or of ``_channel``, and a value they reject is
 reported as ``<section>: <reason>``. Every key is type-checked and unknown
 keys and sections are rejected before any work starts. The placement
 solver has no section: its settings are constants of ``placement``.
-Exactly one of ``wavelength_m`` / ``frequency_hz`` may be given (the other
-is derived with c = 2.998e8 m/s); likewise for ``noise_power_w`` /
-``noise_power_dbm``. Command-line overrides (``-O section.key=value``) are
-applied to the raw document before validation, so flag > file > default.
+At most one of ``wavelength_m`` / ``frequency_hz`` may be given (the other
+is derived with ``ChannelParams.from_frequency``); likewise for
+``noise_power_w`` / ``noise_power_dbm`` (``noise_power_from_dbm``).
+Command-line overrides (``-O section.key=value``) are applied to the raw
+document before validation, so flag > file > default.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 
-from .channel import SPEED_OF_LIGHT, ChannelParams, noise_power_from_dbm
+from .channel import ChannelParams, noise_power_from_dbm
 from .errors import ConfigError
 from .geometry import Box3, Point3
 from .scenario import ExperimentSpec, ScenarioParams
@@ -92,44 +94,31 @@ def _boxes(value):
     return tuple(Box3(Point3(*c[:3]), Point3(*c[3:])) for c in corners)
 
 
-class _Section:
-    """Typed key extraction with unknown-key detection for one mapping."""
+def _build(name: str, raw, cls, keys, **fixed):
+    """``cls`` from ``fixed`` and the keys present in section ``name``, whose
+    mapping is ``raw``.
 
-    def __init__(self, name: str, raw: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
-        self.name = name
-        self.raw = dict(raw)
-
-    def take(self, key, kind, default=None):
-        if key not in self.raw:
-            return default
-        value = self.raw.pop(key)
-        try:
-            return _read(kind, value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{self.name}.{key}: cannot read {value!r}") from None
-
-    def has(self, key) -> bool:
-        return key in self.raw
-
-    def finish(self):
-        if self.raw:
-            raise ConfigError(f"unknown keys in section {self.name!r}: {sorted(self.raw)}")
-
-    def build(self, cls, keys, **fixed):
-        """``cls`` from ``fixed`` and the keys present in this section.
-
-        ``keys`` maps each YAML key to ``(field, kind)``. A key present
-        overrides ``fixed``; a field given by neither takes the class's own
-        default. A ``ValueError`` from ``cls`` becomes a ``ConfigError``.
-        """
-        parsed = {field: self.take(key, kind) for key, (field, kind) in keys.items() if self.has(key)}
-        self.finish()
-        try:
-            return cls(**{**fixed, **parsed})
-        except ValueError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from None
+    ``keys`` maps each YAML key to ``(field, kind)``. The keys present are
+    read first, then unknown keys are rejected. A key present overrides
+    ``fixed``; a field given by neither takes the class's own default. A
+    ``ValueError`` from ``cls`` becomes a ``ConfigError``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {name!r} must be a mapping")
+    parsed = {}
+    for key, (field, kind) in keys.items():
+        if key in raw:
+            try:
+                parsed[field] = _read(kind, raw[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{name}.{key}: cannot read {raw[key]!r}") from None
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+    try:
+        return cls(**{**fixed, **parsed})
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _same_name(**kinds):
@@ -155,47 +144,28 @@ _EXPERIMENT_KEYS = _same_name(
 # ExperimentSpec leaves these four to its caller; the run defaults are here.
 _EXPERIMENT_DEFAULTS = dict(sweep="min_rate", values=(2e6, 5e6), repetitions=3, seed=0)
 _OUTPUT_KEYS = _same_name(dir=str, record_timing=bool, write_trace=bool)
+_CHANNEL_KEYS = _same_name(
+    wavelength_m=float, frequency_hz=float, noise_power_w=float, noise_power_dbm=float,
+    bandwidth_hz=float, tx_power_w=float, min_rate_bps=float,
+)
 
 
-def _parse_channel(sec: _Section) -> ChannelParams:
-    has_wl = sec.has("wavelength_m")
-    has_fr = sec.has("frequency_hz")
-    if has_wl and has_fr:
-        raise ConfigError("give exactly one of channel.wavelength_m / channel.frequency_hz")
-    wavelength = sec.take("wavelength_m", float, None)
-    frequency = sec.take("frequency_hz", float, None if has_wl else 2.4e9)
-
-    has_w = sec.has("noise_power_w")
-    has_dbm = sec.has("noise_power_dbm")
-    if has_w and has_dbm:
-        raise ConfigError("give exactly one of channel.noise_power_w / channel.noise_power_dbm")
-    noise = sec.take("noise_power_w", float, None)
-    noise_dbm = sec.take("noise_power_dbm", float, None if has_w else -96.0)
-
-    bandwidth = sec.take("bandwidth_hz", float, 20e6)
-    tx_power = sec.take("tx_power_w", float, 0.1)
-    min_rate = sec.take("min_rate_bps", float, 5e6)
-    sec.finish()
-    # The given keys are checked before conversion, so an error names the key set.
-    if wavelength is None:
-        if not 0.0 < frequency < math.inf:
-            raise ConfigError(f"channel: frequency_hz must be strictly positive, got {frequency}")
-        wavelength = SPEED_OF_LIGHT / frequency
-        if not math.isfinite(wavelength):
-            raise ConfigError(f"channel: frequency_hz {frequency} overflows the wavelength")
-    if noise is None:
-        try:
-            noise = noise_power_from_dbm(noise_dbm)
-        except OverflowError:
-            noise = math.inf
-        if noise == math.inf:
-            raise ConfigError(f"channel: noise_power_dbm {noise_dbm} overflows the noise power in watts")
-        if not noise > 0.0:
-            raise ConfigError(f"channel: noise_power_dbm {noise_dbm} gives a noise power of {noise} W, not positive")
-    try:
-        return ChannelParams(wavelength, bandwidth, tx_power, noise, min_rate)
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from None
+def _channel(wavelength_m=None, frequency_hz=None, noise_power_w=None, noise_power_dbm=None,
+             bandwidth_hz=20e6, tx_power_w=0.1, min_rate_bps=5e6) -> ChannelParams:
+    """The channel section as ``ChannelParams``: at most one key of each
+    pair is given, and the other is derived from it (2.4 GHz and -96 dBm
+    when neither is)."""
+    if wavelength_m is not None and frequency_hz is not None:
+        raise ValueError("give exactly one of wavelength_m / frequency_hz")
+    if noise_power_w is not None and noise_power_dbm is not None:
+        raise ValueError("give exactly one of noise_power_w / noise_power_dbm")
+    if noise_power_w is None:
+        noise_power_w = noise_power_from_dbm(-96.0 if noise_power_dbm is None else noise_power_dbm)
+    rest = dict(bandwidth=bandwidth_hz, tx_power=tx_power_w, noise_power=noise_power_w,
+                min_rate=min_rate_bps)
+    if wavelength_m is None:
+        return ChannelParams.from_frequency(2.4e9 if frequency_hz is None else frequency_hz, **rest)
+    return ChannelParams(wavelength_m, **rest)
 
 
 _SECTIONS = ("channel", "scenario", "experiment", "output")
@@ -245,13 +215,14 @@ def load_config(path=None, overrides=()) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level sections: {sorted(unknown)}")
 
-    def section(name):
-        return _Section(name, doc.get(name, {}))
+    def section(name, cls, keys, **fixed):
+        return _build(name, doc.get(name, {}), cls, keys, **fixed)
 
-    channel = _parse_channel(section("channel"))
-    scenario = section("scenario").build(ScenarioParams, _SCENARIO_KEYS)
-    experiment = section("experiment").build(
-        ExperimentSpec, _EXPERIMENT_KEYS, **_EXPERIMENT_DEFAULTS, scenario=scenario, channel=channel
+    channel = section("channel", _channel, _CHANNEL_KEYS)
+    scenario = section("scenario", ScenarioParams, _SCENARIO_KEYS)
+    experiment = section(
+        "experiment", ExperimentSpec, _EXPERIMENT_KEYS,
+        **_EXPERIMENT_DEFAULTS, scenario=scenario, channel=channel,
     )
-    output = section("output").build(OutputConfig, _OUTPUT_KEYS)
+    output = section("output", OutputConfig, _OUTPUT_KEYS)
     return RunConfig(channel, scenario, experiment, output)

@@ -564,6 +564,15 @@ def _iterate(
     return AdmmState(R, Z, U, rho, iterations, converged, trace_arr, row_dev), sup
 
 
+def _weight_vector(w, g: int) -> np.ndarray:
+    """The slack weights ``w`` as a float G-vector, all ones when None;
+    ValueError unless they are G finite nonnegative numbers."""
+    w = np.ones(g) if w is None else np.asarray(w, dtype=float)
+    if w.shape != (g,) or not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("w must be a finite nonnegative G-vector")
+    return w
+
+
 def admm_solve(
     C,
     r_min: float,
@@ -619,9 +628,7 @@ def admm_solve(
         raise ValueError(f"rho must be finite and positive, got {rho}")
     inst = _Instance(C, r_min)
     m, g = inst.values.shape
-    w = np.ones(g) if w is None else np.asarray(w, dtype=float)
-    if w.shape != (g,) or not (np.isfinite(w).all() and (w >= 0).all()):
-        raise ValueError("w must be a finite nonnegative G-vector")
+    w = _weight_vector(w, g)
 
     order, invert = inst.order, inst.rank
     if start is None:

@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .errors import GuardError, InfeasibleError
-from .placement import _Coverage, greedy_cover_from_scores
+from .placement import _Coverage, _weight_vector, greedy_cover_from_scores
 
 __all__ = ["exhaustive_min_abs", "solve_epigraph_lp", "solve_alpha_lp"]
 
@@ -122,13 +122,15 @@ def solve_epigraph_lp(C, r_min: float, w=None):
     min w @ s over (R, s) with row sums of R equal to r_min, 0 <= R <= C,
     and R[:, g] <= s_g entrywise. Returns (objective, R, s). This is the
     correctness oracle for the ADMM path: both optimize the same convex
-    problem. As in ``admm_solve``, rates are solved for in units of r_min.
+    problem. As in ``admm_solve``, rates are solved for in units of r_min,
+    and ValueError unless ``w`` (all ones by default) is a finite
+    nonnegative G-vector.
     """
     from scipy import sparse  # deferred, as linprog is in _solve_highs
 
     values = _Coverage(C, r_min).coverable().values
     m, g = values.shape
-    w = np.ones(g) if w is None else np.asarray(w, dtype=float)
+    w = _weight_vector(w, g)
     n_r = m * g  # r variables first (row-major), then the G slacks
     c = np.concatenate([np.zeros(n_r), w])
     k = np.arange(n_r)

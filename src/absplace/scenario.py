@@ -48,6 +48,15 @@ __all__ = [
 SOLVER_NAMES = ("admm", "alpha_lp", "exhaustive")
 
 
+def _check_integers(**fields):
+    """ValueError unless each field, or each entry of a tuple field, is an
+    integer (a numpy one too) and not a bool."""
+    for name, value in fields.items():
+        entries = value if isinstance(value, (tuple, list)) else (value,)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries):
+            raise ValueError(f"{name} must be integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Everything needed to build one urban environment."""
@@ -65,6 +74,8 @@ class ScenarioParams:
     gt_height: float = 0.0
 
     def __post_init__(self):
+        _check_integers(streets_per_axis=self.streets_per_axis, slf_dims=self.slf_dims,
+                        flight_dims=self.flight_dims, num_users=self.num_users)
         reals = (*self.area, self.building_height, self.absorption_db_per_m,
                  *self.flight_band, self.slf_top, self.gt_height)
         if not all(map(math.isfinite, reals)):
@@ -230,6 +241,7 @@ class ExperimentSpec:
         # counted once per copy
         if len({float(v) for v in self.values}) < len(self.values):
             raise ValueError(f"sweep values must be distinct, got {self.values}")
+        _check_integers(repetitions=self.repetitions, seed=self.seed)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.seed < 0:  # numpy's SeedSequence takes nonnegative entropy only

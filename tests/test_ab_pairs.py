@@ -72,3 +72,11 @@ def test_summarize_skips_metrics_a_run_lacks():
     pairs = [({"place_s_p50": b, "instances_per_s": None}, {"place_s_p50": b * 0.8}) for b in BASE]
     rows = ab_pairs.summarize(spec, pairs)
     assert [(r["metric"], r["verdict"]) for r in rows] == [("place_s_p50", "better")]
+
+
+def test_summarize_drops_only_the_pair_of_a_failed_run():
+    # one run that printed no result used to erase the workload's whole table
+    spec = {"end_to_end": [{"name": "place_s_p50", "unit": "s", "better": "lower", "bound": 0.25}]}
+    pairs = [({}, {"place_s_p50": 5.0})] + [({"place_s_p50": b}, {"place_s_p50": b * 0.8}) for b in BASE]
+    rows = ab_pairs.summarize(spec, pairs)
+    assert [(r["metric"], r["verdict"], r["won"], r["pairs"]) for r in rows] == [("place_s_p50", "better", 10, 10)]

@@ -60,6 +60,25 @@ class TestGain:
         p = params_24ghz()
         assert p.wavelength == pytest.approx(2.998e8 / 2.4e9, rel=1e-12)
 
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf, 1e-300, np.float64(1e-300)])
+    def test_bad_frequency_names_frequency_hz(self, frequency):
+        # 0 used to raise ZeroDivisionError, and the others reached the
+        # wavelength check, which blamed the wavelength (a numpy 1e-300 is
+        # read as a float, so it does not overflow with a warning)
+        with pytest.raises(ValueError, match="^frequency_hz "):
+            ChannelParams.from_frequency(frequency, **PAPER_PARAMS)
+
+    def test_valid_conversions_keep_their_bits(self):
+        assert ChannelParams.from_frequency(2.4e9, **PAPER_PARAMS).wavelength == 2.998e8 / 2.4e9
+        assert noise_power_from_dbm(-96.0) == 10.0 ** -9.6 * 1e-3
+
+    @pytest.mark.parametrize("dbm", [1e5, -1e5, math.nan, math.inf, -math.inf, np.float64(1e5)])
+    def test_bad_noise_level_names_noise_power_dbm(self, dbm):
+        # 1e5 used to raise OverflowError; the others returned inf, 0 or NaN
+        # (a numpy 1e5 is read as a float, so it does not overflow with a warning)
+        with pytest.raises(ValueError, match=f"^noise_power_dbm {dbm} "):
+            noise_power_from_dbm(dbm)
+
     def test_monotone_in_distance(self):
         p = params_24ghz()
         gains = [gain_db(p, Point3(0, 0, 0), Point3(d, 0, 0)) for d in (10, 20, 50, 130)]

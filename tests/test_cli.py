@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from absplace import ScenarioParams, load_config, placement
+from absplace import ScenarioParams, cli, load_config, placement
 from absplace.cli import main
 from absplace.config import OutputConfig
 
@@ -148,9 +148,15 @@ class TestPlace:
         "command", [["place"], ["experiment", "-O", "experiment.repetitions=1"]], ids=["place", "experiment"]
     )
     @pytest.mark.parametrize("below, code", [(None, errno.EEXIST), ("sub", errno.ENOTDIR)], ids=["file", "below_file"])
-    def test_unusable_output_directory_is_one_line_error(self, tmp_path, command, below, code):
+    def test_unusable_output_directory_is_one_line_error(self, tmp_path, monkeypatch, command, below, code):
         # a file as the output directory, or as its parent, used to end in
-        # a FileExistsError or NotADirectoryError traceback
+        # a FileExistsError or NotADirectoryError traceback, and only after
+        # the whole placement or sweep had run
+        def run_started(*args, **kwargs):
+            raise AssertionError("the run started before the output directory was made")
+
+        monkeypatch.setattr(cli, "solve_placement", run_started)
+        monkeypatch.setattr(cli, "run_experiment", run_started)
         out = tmp_path / "file"
         out.write_text("")
         if below:

@@ -82,6 +82,18 @@ class TestEpigraphLp:
         assert obj == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(rates.sum(axis=1), r_min, rtol=1e-9)
 
+    @pytest.mark.parametrize("bad", ["short", "negative", "nan"])
+    def test_weights_checked_as_admm_checks_them(self, bad):
+        # a short w used to end in a numpy broadcast error, a negative entry
+        # in an unbounded HiGHS failure and a NaN in linprog's own ValueError
+        values, r_min = random_feasible_instance(np.random.default_rng(45), m_max=3, g_max=6)
+        g = values.shape[1]
+        w = {"short": np.ones(g - 1), "negative": np.r_[-1.0, np.ones(g - 1)],
+             "nan": np.r_[np.nan, np.ones(g - 1)]}[bad]
+        for solve in (solve_epigraph_lp, admm_solve):
+            with pytest.raises(ValueError, match="^w must be a finite nonnegative G-vector$"):
+                solve(values, r_min, w)
+
     def test_constraints_hold(self):
         rng = np.random.default_rng(43)
         values, r_min = random_feasible_instance(rng, m_max=4, g_max=7)

@@ -105,6 +105,21 @@ class TestBuildUrban:
                 ScenarioParams(**dims)
 
 
+    @pytest.mark.parametrize(
+        "counts",
+        [dict(num_users=2.5), dict(num_users=True), dict(streets_per_axis=(2.5, 3)),
+         dict(slf_dims=(2.5, 3, 3)), dict(flight_dims=(4, 3, 2.0))],
+        ids=["num_users", "bool", "streets_per_axis", "slf_dims", "flight_dims"],
+    )
+    def test_counts_must_be_integers(self, counts):
+        # num_users=2.5 used to be accepted (sample_users then drew 3 users),
+        # a float street count or loss-field dimension failed mid-build, and
+        # a float flight dimension of a whole value passed as its integer
+        (name,) = counts
+        with pytest.raises(ValueError, match=f"^{name} must be integers"):
+            ScenarioParams(**counts)
+
+
 class TestSampleUsers:
     def test_deterministic_given_seed(self):
         sc = build_urban(small_params(), channel())
@@ -311,6 +326,13 @@ class TestRunExperiment:
         for sweep, value in (("num_users", 0.0), ("building_height", -5.0), ("min_rate", -1.0)):
             with pytest.raises(ValueError):
                 self.spec(sweep=sweep, values=(value,))
+
+    @pytest.mark.parametrize("counts", [dict(repetitions=2.5), dict(seed=1.5), dict(seed=False)])
+    def test_counts_must_be_integers(self, counts):
+        # each used to be accepted and to end in a TypeError during the run
+        (name,) = counts
+        with pytest.raises(ValueError, match=f"^{name} must be integers"):
+            self.spec(**counts)
 
     def test_repeated_solvers_rejected(self):
         # each copy used to be run, so that one rate and two repetitions
