@@ -1,4 +1,4 @@
-"""Radio-tomographic shadowing maps and ADMM placement of aerial base stations."""
+"""Radio-tomographic shadowing maps and certified placement of aerial base stations."""
 
 from .channel import (
     SPEED_OF_LIGHT,

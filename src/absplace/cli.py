@@ -170,6 +170,8 @@ def cmd_place(config_path, overrides, out):
         "min_rate_mbps": cfg.channel.min_rate / 1e6,
         "iterations": result.iterations,
         "converged": result.converged,
+        "lower_bound": result.lower_bound,
+        "proven_optimal": result.proven_optimal,
     }
     (out_dir / "placement.json").write_text(_dump_json(payload) + "\n")
     with open(out_dir / "positions.csv", "w", newline="") as fh:
@@ -198,7 +200,7 @@ def cmd_experiment(config_path, overrides, out):
 
 @main.command("oracle")
 @_config_options
-@click.option("--compare-admm", is_flag=True, help="Also run the ADMM solver and report the gap.")
+@click.option("--compare-admm", is_flag=True, help="Also run the placement solver (solve_placement) and report the gap.")
 @_handle_errors
 def cmd_oracle(config_path, overrides, compare_admm):
     """Exhaustive minimum station count for the configured (small) instance."""

@@ -45,6 +45,8 @@ __all__ = [
     "SOLVER_NAMES",
 ]
 
+# "admm" runs solve_placement, the PDHG placement, not admm_solve; the name
+# stays because configs and runs.csv files use it.
 SOLVER_NAMES = ("admm", "alpha_lp", "exhaustive")
 
 

@@ -5,10 +5,9 @@ sampler brute-forces the line integral by rectangle rule, the merge
 traversal enumerates boundary crossings per axis and sorts them (no
 marching state), the breakpoint solvers find the piecewise-linear roots
 exactly by sorting, and the LP cross-check goes through scipy. The
-stable-sort Z-step and the public-call placement are the exception: they
-repeat the library's arithmetic on the path it replaced (a stable
-breakpoint sort; a fresh set-up in every call, on capacities in units of
-the target rate), so that the fast path must match them bit for bit.
+stable-sort Z-step is the exception: it repeats the library's arithmetic
+on the path it replaced (a stable breakpoint sort), so that the fast path
+must match it bit for bit.
 
 The dense sampler counts its samples in runs: the voxel index of sample k
 is monotone in k along each axis, so a block of consecutive samples whose
@@ -219,9 +218,10 @@ def scipy_epigraph_optimum(values: np.ndarray, r_min: float, w=None) -> float:
     return float(res.fun)
 
 
-def clipped_alpha_lp_optimum(values: np.ndarray, r_min: float) -> float:
-    """Optimum of the clipped activation LP via scipy (HiGHS), uncertified:
-    min sum(alpha) s.t. min(C / r_min, 1) alpha >= 1, 0 <= alpha <= 1."""
+def clipped_alpha_lp_duals(values: np.ndarray, r_min: float):
+    """(optimum, y) of the clipped activation LP via scipy (HiGHS),
+    uncertified: min sum(alpha) s.t. min(C / r_min, 1) alpha >= 1,
+    0 <= alpha <= 1, with y >= 0 the multipliers of the M coverage rows."""
     m, g = values.shape
     res = linprog(
         np.ones(g), A_ub=-np.minimum(values / r_min, 1.0), b_ub=-np.ones(m),
@@ -229,7 +229,12 @@ def clipped_alpha_lp_optimum(values: np.ndarray, r_min: float) -> float:
     )
     if not res.success:
         raise RuntimeError(f"scipy reference LP failed: {res.message}")
-    return float(res.fun)
+    return float(res.fun), -res.ineqlin.marginals
+
+
+def clipped_alpha_lp_optimum(values: np.ndarray, r_min: float) -> float:
+    """Optimum of the clipped activation LP via scipy (HiGHS), uncertified."""
+    return clipped_alpha_lp_duals(values, r_min)[0]
 
 
 def exhaustive_bitmask(values: np.ndarray, r_min: float):
@@ -322,42 +327,3 @@ def z_step_stable_reference(B: np.ndarray, C: np.ndarray, r_min: float) -> np.nd
     i = np.maximum(j - 1, 0)
     lam = points[rows, i] + (gv[rows, i] - r_min) / np.maximum(n_open[rows, i], 1)
     return np.maximum(0.0, np.minimum(C, B - lam[:, None]))
-
-
-def solve_placement_reference(values: np.ndarray, r_min: float, tau: float):
-    """Reweighted placement composed from public calls only.
-
-    ``admm_solve`` rounds on ``values / r_min`` at target 1, each started
-    from the previous round's state and weighted by ``reweight`` of its R,
-    then ``greedy_cover_from_scores`` on ``values`` at ``r_min``, started
-    from the columns whose sup-norm exceeds ``tau`` (in units of the
-    target). The trace's residuals and objective are scaled back to rate
-    units. Every call prepares the matrix afresh, and the settings are the
-    placement module's constants as they are at the call. Returns
-    (selected, objective trace, iterations, converged). Greedy ends at the
-    same set from any such start, so the library, which starts it from the
-    empty set, must agree for every ``tau``.
-    """
-    from absplace import placement
-    from absplace.placement import admm_solve, greedy_cover_from_scores, reweight
-
-    scaled = values / r_min
-    w, state = np.ones(values.shape[1]), None
-    traces, offset, converged = [], 0, True
-    for k in range(placement._ROUNDS):
-        if k:
-            w = reweight(state.R, 1.0)
-        state = admm_solve(
-            scaled, 1.0, w=w, max_iter=placement._MAX_ITER,
-            eps_abs=placement._EPS_ABS, eps_rel=placement._EPS_REL, start=state,
-        )
-        trace = state.trace.copy()
-        trace[:, 0] += offset
-        trace[:, 1:] *= r_min
-        traces.append(trace)
-        offset += state.iterations
-        converged = converged and state.converged
-    scores = np.abs(state.R).max(axis=0)
-    initial = np.flatnonzero(scores > tau)
-    selected = greedy_cover_from_scores(values, r_min, scores, initial)
-    return tuple(selected), np.vstack(traces), offset, converged

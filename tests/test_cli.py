@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,6 +105,19 @@ class TestPlace:
         assert positions[0] == "index,x,y,z"
         assert len(positions) == payload["n_abs"] + 1
 
+    def test_bound_written_and_checked_by_oracle(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["place", *SMALL, "-o", str(out)]).exit_code == 0
+        payload = json.loads((out / "placement.json").read_text())
+        bound = payload["lower_bound"]
+        assert 0.0 < bound <= payload["n_abs"]
+        assert payload["proven_optimal"] is (math.ceil(bound - 1e-9) >= payload["n_abs"])
+        oracle = run_cli(["oracle", *SMALL])
+        n_star = json.loads(oracle.stdout)["n_star"]
+        assert math.ceil(bound - 1e-9) <= n_star
+        if payload["proven_optimal"]:
+            assert payload["n_abs"] == n_star
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -125,7 +139,7 @@ class TestPlace:
         res = run_cli(["place", *SMALL, "-O", "output.write_trace=true", "-o", str(out)])
         assert res.exit_code == 0
         trace = (out / "trace.csv").read_text().splitlines()
-        assert trace[0] == "iteration,primal,dual,objective"
+        assert trace[0] == "iteration,shortfall,gap,objective"
         assert len(trace) > 1
 
 
@@ -140,7 +154,8 @@ class TestPlace:
         monkeypatch.setattr(placement, "_MAX_ITER", 1)
         res = run_cli(["place", *SMALL, "-o", str(tmp_path / "out")])
         assert res.exit_code == 0
-        assert "warning: admm_solve stopped at max_iter = 1 without converging" in res.stderr
+        assert res.stderr.count("warning:") == 1
+        assert "warning: solve_placement stopped at max_iter = 1 without converging" in res.stderr
         assert "warning" not in res.stdout
 
 

@@ -17,6 +17,7 @@ from absplace import (
     build_capacity_matrix,
     build_urban,
     covers,
+    exhaustive_min_abs,
     noise_power_from_dbm,
     reweight,
     sample_users,
@@ -30,11 +31,12 @@ from absplace import (
 from absplace import placement
 from absplace.placement import greedy_cover_from_scores
 from oracles import (
+    clipped_alpha_lp_duals,
+    clipped_alpha_lp_optimum,
     fsum_covers,
     greedy_cover_reference,
     random_feasible_instance,
     scipy_epigraph_optimum,
-    solve_placement_reference,
     x_step_root_exact,
     z_step_root_exact,
     z_step_stable_reference,
@@ -457,15 +459,16 @@ def test_instance_z_step_equals_single_rows():
     # numpy sums a row pairwise when it is contiguous and in sequence when
     # it is strided, and the two differ in the last bits from G = 8 on: the
     # solver's arrays must share z_step_row's C-ordered layout.
-    from absplace.placement import _Instance
+    from absplace.placement import _Instance, _ZStep
 
     for trial in range(30):
         values, r_min, _ = criterion_06_instance(trial)
         inst = _Instance(values, r_min)
+        z_step = _ZStep(inst.cn, 1.0)
         zeros = np.zeros(values.shape[1])
         for scale in (0.3, 0.9, 1.7):
             B = scale * inst.cn - 0.01
-            Z = inst.z_step(B)
+            Z = z_step(B)
             for m, row in enumerate(Z):
                 assert_same_bits(row, z_step_row(B[m], zeros, inst.cn[m], 1.0))
 
@@ -623,38 +626,51 @@ class TestSolvePlacement:
         path = tmp_path / "trace.csv"
         write_trace_csv(result.objective_trace, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,primal,dual,objective"
+        assert lines[0] == "iteration,shortfall,gap,objective"
         assert len(lines) == result.objective_trace.shape[0] + 1
 
 
 class TestPreparedInstance:
     """solve_placement prepares its instance once and rounds from the empty
-    set; the result must equal the same composition of public calls that
-    each prepare it afresh, with greedy started from any sup-norm
-    threshold."""
+    set, calling greedy_cover_from_scores as a module attribute (the
+    benchmark's tracer wraps it there). Its selection must equal that of
+    the public call, which prepares the matrix afresh, on the scores it was
+    given, with greedy started from any score threshold; and it must not
+    depend on the column order."""
 
-    TAUS = (0.0, 1e-3, 0.2, 1e9)
+    TAUS = (0.0, 1e-3, 0.2, 0.9)
 
     @classmethod
-    def check(cls, C, r_min):
+    def check(cls, C, r_min, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return greedy_cover_from_scores(*args)
+
+        monkeypatch.setattr(placement, "greedy_cover_from_scores", recording)
         got = solve_placement(C, r_min)
+        monkeypatch.setattr(placement, "greedy_cover_from_scores", greedy_cover_from_scores)
+        assert len(calls) == 1
+        _, rate, scores, selected = calls[0]
+        assert rate == r_min and selected == ()
         values = getattr(C, "values", C)
         for tau in cls.TAUS:
-            selected, trace, iterations, converged = solve_placement_reference(values, r_min, tau)
-            assert got.selected == selected, f"tau = {tau}"
-            np.testing.assert_array_equal(got.objective_trace.view(np.uint64), trace.view(np.uint64))
-            assert got.iterations == iterations
-            assert got.converged == converged
+            initial = np.flatnonzero(scores > tau)
+            assert tuple(greedy_cover_from_scores(values, r_min, scores, initial)) == got.selected, f"tau = {tau}"
+        # on permuted columns the same columns win (a duplicate may stand in
+        # for its twin), with the same bits
+        perm = np.random.default_rng(values.shape[1]).permutation(values.shape[1])
+        permuted = solve_placement(values[:, perm], r_min)
+        chosen = values[:, perm][:, list(permuted.selected)]
+        assert sorted(map(tuple, chosen.T)) == sorted(map(tuple, values[:, list(got.selected)].T))
+        assert permuted.lower_bound == got.lower_bound
+        np.testing.assert_array_equal(permuted.objective_trace, got.objective_trace)
 
     @pytest.mark.parametrize(
         "settings",
-        [
-            {},
-            {"_ROUNDS": 1},
-            {"_ROUNDS": 6, "_MAX_ITER": 7},
-            {"_ROUNDS": 6, "_RHO": 0.3},
-        ],
-        ids=["default", "one_round", "six_rounds_max_iter_7", "six_rounds_rho_0_3"],
+        [{}, {"_CHECK_EVERY": 1}, {"_MAX_ITER": 7}, {"_OMEGA": 0.3}],
+        ids=["default", "check_every_1", "max_iter_7", "omega_0_3"],
     )
     def test_matches_public_composition(self, settings, monkeypatch):
         for name, value in settings.items():
@@ -667,21 +683,85 @@ class TestPreparedInstance:
             if rng.random() < 0.5:
                 values = np.round(values / r_min * 4.0) / 4.0 * r_min  # tied entries and scores
                 values[:, 0] += r_min  # keeps every row coverable
-            self.check(values, r_min)
-            self.check(as_matrix(values), r_min)
+            self.check(values, r_min, monkeypatch)
+            self.check(as_matrix(values), r_min, monkeypatch)
 
-    @pytest.mark.parametrize("settings", [{}, {"_ROUNDS": 1}], ids=["default", "one_round"])
+    @pytest.mark.parametrize("settings", [{}, {"_CHECK_EVERY": 1}], ids=["default", "check_every_1"])
     def test_matches_public_composition_on_city(self, settings, monkeypatch, urban_matrices):
-        # 20 users x 288 candidates. At these targets Z * r_min / r_min and
-        # U * r_min / r_min differ from Z and U in thousands of entries of
-        # the rounds' iterates (at 7.3e7, 1.37e8 and 2.9e8 in none), so a
-        # hand-off between rounds that went through rate units, rather than
-        # staying in units of the target as the reference does, would show.
+        # 20 users x 288 candidates
         for name, value in settings.items():
             monkeypatch.setattr(placement, name, value)
         for cm in urban_matrices:
             for r_min in (1.1e8, 2.1e8, 3.5e8):
-                self.check(cm, r_min)
+                self.check(cm, r_min, monkeypatch)
+
+
+class TestCertifiedBound:
+    """The PDHG solve of the clipped activation LP and its dual bound,
+    against HiGHS on the same LP."""
+
+    def test_lp_optimum_within_tol_on_criterion_06_family(self):
+        # At the stop the bound is at most the LP optimum, so sum(alpha) is
+        # within _TOL of it from above. From below nothing holds: alpha may
+        # fall short by _TOL, and on this family sum(alpha) then lies up to
+        # 22 % below the optimum.
+        for trial in range(100):
+            values, r_min, _ = criterion_06_instance(trial)
+            result = solve_placement(values, r_min)
+            optimum = clipped_alpha_lp_optimum(values, r_min)
+            _, shortfall, gap, objective = result.objective_trace[-1]
+            assert result.converged and shortfall <= placement._TOL and gap <= placement._TOL
+            assert result.lower_bound <= optimum + 1e-9 * max(1.0, optimum)
+            assert objective - optimum <= placement._TOL * max(1.0, objective)
+            assert math.ceil(result.lower_bound - 1e-9) <= result.n_abs
+
+    def test_converges_to_lp_optimum_at_tight_tolerance(self, monkeypatch):
+        monkeypatch.setattr(placement, "_TOL", 1e-3)
+        monkeypatch.setattr(placement, "_MAX_ITER", 100_000)
+        for trial in range(100):
+            values, r_min, _ = criterion_06_instance(trial)
+            result = solve_placement(values, r_min)
+            optimum = clipped_alpha_lp_optimum(values, r_min)
+            assert result.converged
+            assert abs(result.objective_trace[-1, 3] - optimum) <= 0.02 * max(1.0, optimum)
+            assert optimum - result.lower_bound <= 0.01 * max(1.0, optimum)
+
+    def test_bound_equals_lp_optimum_at_highs_duals(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            values, r_min = random_feasible_instance(rng, m_max=6, g_max=12)
+            c = np.minimum(values / r_min, 1.0)
+            optimum, y = clipped_alpha_lp_duals(values, r_min)
+            assert placement._scaled_bound(c, y) == pytest.approx(optimum, abs=1e-7)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 12), st.floats(0.0, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_never_exceeds_lp_optimum(self, seed, m, g, scale):
+        rng = np.random.default_rng(seed)
+        values, r_min = random_feasible_instance(rng, m_max=m, g_max=g)
+        c = np.minimum(values / r_min, 1.0)
+        y = rng.uniform(0.0, scale, values.shape[0]) * (rng.random(values.shape[0]) < 0.8)
+        optimum = clipped_alpha_lp_optimum(values, r_min)
+        assert placement._scaled_bound(c, y) <= optimum + 1e-9 * max(1.0, optimum)
+        # the unscaled bound, at s = 1, is never above the scaled one
+        unscaled = y.sum() - np.maximum(0.0, y @ c - 1.0).sum()
+        assert unscaled <= placement._scaled_bound(c, y) + 1e-9 * (1.0 + y.sum() + (y @ c).sum())
+
+    def test_zero_dual_bounds_nothing(self):
+        assert placement._scaled_bound(np.ones((2, 3)), np.zeros(2)) == 0.0
+
+    def test_proven_optimal_matches_exhaustive(self):
+        rng = np.random.default_rng(1007)
+        proven = 0
+        for _ in range(200):
+            values, r_min = random_feasible_instance(rng, m_max=4, g_max=10)
+            result = solve_placement(values, r_min)
+            n_star, _ = exhaustive_min_abs(values, r_min)
+            assert math.ceil(result.lower_bound - 1e-9) <= n_star
+            if result.proven_optimal:
+                proven += 1
+                assert result.n_abs == n_star
+        assert proven >= 150
 
 
 @pytest.fixture(scope="module")
@@ -1108,16 +1188,18 @@ class TestNonConvergenceWarning:
         assert st.converged
         assert caplog.records == []
 
-    def test_placement_warns_once_per_capped_round(self, caplog, monkeypatch):
+    def test_placement_warns_once_when_capped(self, caplog, monkeypatch):
         values, r_min, _ = criterion_06_instance(49)
         monkeypatch.setattr(placement, "_MAX_ITER", 1)
         with caplog.at_level(logging.WARNING, logger="absplace"):
             result = solve_placement(values, r_min)
         assert not result.converged
-        assert result.iterations == placement._ROUNDS
+        assert result.iterations == 1
+        assert result.objective_trace[:, 0].tolist() == [1]  # the test at the cap
+        assert result.feasible
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == placement._ROUNDS
-        assert all("max_iter = 1" in r.getMessage() for r in warnings)
+        assert len(warnings) == 1
+        assert warnings[0].getMessage().startswith("solve_placement stopped at max_iter = 1")
 
     def test_converged_placement_logs_nothing(self, caplog):
         values, r_min, _ = criterion_06_instance(49)
